@@ -6,7 +6,7 @@ two independent combinatorial enumerations: metric ribbon graphs / plane
 trees, and square-tiled surfaces given by permutation pairs.
 """
 
-from .pnum import PartitionIndex, PNumberTable, p_bw_value, p_value, pgvn_polynomial
+from .pnum import p_bw_value, p_value, pgvn_polynomial
 from .ribbon import (
     PerimeterPair,
     RibbonGraph,

@@ -13,22 +13,18 @@ All exact values are printed as rational strings; ``--float`` adds a
 decimal column for display only.  Identical invocations produce
 byte-identical output.
 
-If the environment variable STRATAVOL_CACHE names a file, the p-number
-memo table is loaded from it on startup and written back on exit.  A
-loaded cache is spot-checked by re-deriving one randomly chosen entry
-from scratch; on mismatch the cache is discarded with a warning.
+A broken internal invariant exits with code 3 and a one-line
+``internal error:`` message on stderr, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 
 from . import pnum, ribbon, sts, volumes
-from .pnum import PNumberTable, default_table, p_value
+from .pnum import p_value
 from .ribbon import PerimeterPair
 from .scalars import format_rational
 
@@ -80,39 +76,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     sub.add_argument("--float", action="store_true", dest="with_float",
                      help="add a decimal display column")
-
-
-# ---------------------------------------------------------------------------
-# Memo cache wiring
-# ---------------------------------------------------------------------------
-
-
-def _load_cache(path: str) -> None:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = PNumberTable.from_json(handle.read())
-    except FileNotFoundError:
-        return
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-        return
-    if loaded.entries:
-        probe = random.choice(sorted(loaded.entries, key=lambda k: k.parts))
-        fresh = PNumberTable()
-        if p_value(probe, fresh) != loaded[probe]:
-            print(
-                f"warning: cache {path} failed the spot check at {probe.parts}; discarding",
-                file=sys.stderr,
-            )
-            return
-    default_table().entries.update(loaded.entries)
-
-
-def _save_cache(path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(default_table().to_json())
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +148,9 @@ def cmd_pnumbers(args, out) -> int:
         raise SystemExit(f"error: --weight is capped at {WEIGHT_LIMIT}")
     entries = []
     for weight in range(2, args.weight + 1, 2):
-        for parts in sorted(_even_partitions(weight), reverse=True):
+        for parts in pnum.partitions_min2(weight):
+            if any(part % 2 for part in parts):
+                continue
             entries.append({"parts": list(parts), "value": str(p_value(parts))})
     if args.format == "json":
         print(json.dumps(entries, sort_keys=True), file=out)
@@ -196,21 +161,6 @@ def cmd_pnumbers(args, out) -> int:
         ]
         _emit_rows(args, ["parts", "value"], rows, out)
     return 0
-
-
-def _even_partitions(weight: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(remaining: int, max_part: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        part = min(remaining, max_part)
-        while part >= 2:
-            rec(remaining - part, part, prefix + (part,))
-            part -= 2
-    rec(weight, weight, ())
-    return out
 
 
 def cmd_series(args, out) -> int:
@@ -336,9 +286,6 @@ def cmd_verify(args, out) -> int:
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    cache_path = os.environ.get("STRATAVOL_CACHE")
-    if cache_path:
-        _load_cache(cache_path)
     try:
         if args.command == "volumes":
             code = cmd_volumes(args, out)
@@ -353,8 +300,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache_path:
-        _save_cache(cache_path)
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

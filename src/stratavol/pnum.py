@@ -1,6 +1,6 @@
 """Positive-tree counts p_{s_1,..,s_n} and the series built from them.
 
-The numbers are computed by the recursion
+The numbers satisfy the recursion
 
     (s-2)! = p_{s_1,..,s_n}
              + sum_{t=2}^{n} (s-2)_{t-2} / t! *
@@ -8,25 +8,33 @@ The numbers are computed by the recursion
                    prod_j (sum_{i in I_j} s_i - 1) * p_{s_{I_j}},
 
 with s = s_1 + .. + s_n, base case p_s = (s-2)! for a single index, and
-(x)_m the falling factorial, (x)_0 = 1.  Labeled partitions into t blocks
-are enumerated as unordered set partitions times t! labelings, so the 1/t!
-is applied exactly once.
+(x)_m the falling factorial, (x)_0 = 1.  The labeled partitions into t
+blocks are the unordered set partitions times t! labelings, so the t! and
+the 1/t! cancel and every term is an integer.
 
-The recursion runs in exact rationals and the result is asserted to be a
-positive integer before it is stored.
+A term depends only on the multiset of index values in each block, so the
+sum runs over the multiset partitions of the sorted key instead of its
+Bell(n) set partitions.  For a key with multiplicity m_v of the value v,
+the multiset partition into blocks with multiplicities b_{j,v} stands for
+
+    prod_v m_v! / (prod_j prod_v b_{j,v}! * prod_{equal blocks} r!)
+
+set partitions, where r is the number of times a block repeats.  The
+weights are computed by exact integer division with remainder asserted 0,
+and each value is asserted to be a positive integer.  Values are memoized
+per sorted key for the life of the process.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from itertools import product
+from math import factorial, perm, prod
 from typing import Iterator
 
 __all__ = [
-    "PartitionIndex",
-    "PNumberTable",
     "p_value",
     "p_bw_value",
     "WeightedMonomialSeries",
@@ -36,153 +44,97 @@ __all__ = [
     "HomogeneousVolumePolynomial",
     "pgvn_polynomial",
     "compositions",
-    "set_partitions",
-    "default_table",
+    "partitions_min2",
 ]
 
 
-@dataclass(frozen=True)
-class PartitionIndex:
-    """Sorted (non-increasing) tuple of integer indices, each >= 2."""
+def _multiplicity_factor(parts) -> int:
+    """prod over runs of equal adjacent items of (run length)!
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, reverse=True))
-        if not parts:
-            raise ValueError("at least one part required")
-        if any(p < 2 for p in parts):
-            raise ValueError("all parts must be >= 2")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
-class PNumberTable:
-    """Idempotent insert-only memo of computed p-numbers.
-
-    Concurrent duplicate computation is harmless: any two computations of
-    the same key produce identical values, so last-write-wins is safe.
+    For a sorted sequence this is the product of the multiplicities' factorials.
     """
-
-    def __init__(self) -> None:
-        self.entries: dict[PartitionIndex, int] = {}
-
-    def __contains__(self, key: PartitionIndex) -> bool:
-        return key in self.entries
-
-    def __getitem__(self, key: PartitionIndex) -> int:
-        return self.entries[key]
-
-    def store(self, key: PartitionIndex, value: int) -> None:
-        if value <= 0:
-            raise ValueError(f"p-number for {key.parts} must be positive, got {value}")
-        self.entries[key] = value
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def to_json(self) -> str:
-        items = sorted(self.entries.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
-        return json.dumps(
-            [{"parts": list(k.parts), "value": str(v)} for k, v in items]
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PNumberTable":
-        table = PNumberTable()
-        for item in json.loads(text):
-            key = PartitionIndex(tuple(int(p) for p in item["parts"]))
-            table.store(key, int(item["value"]))
-        return table
-
-
-_DEFAULT_TABLE = PNumberTable()
-
-
-def default_table() -> PNumberTable:
-    return _DEFAULT_TABLE
-
-
-def set_partitions(n: int) -> Iterator[list[tuple[int, ...]]]:
-    """Unordered partitions of {0,..,n-1} into non-empty blocks.
-
-    Element i joins an existing block or opens a new one, which is the
-    restricted-growth enumeration; each partition appears exactly once.
-    """
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[list[tuple[int, ...]]]:
-        if i == n:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
-def _falling(x: int, m: int) -> int:
     out = 1
-    for i in range(m):
-        out *= x - i
+    run = 1
+    for a, b in zip(parts, parts[1:]):
+        if a == b:
+            run += 1
+        else:
+            out *= factorial(run)
+            run = 1
+    out *= factorial(run)
     return out
 
 
-def p_value(parts, table: PNumberTable | None = None) -> int:
-    """The positive integer p_{s_1,..,s_n}; indices may come in any order."""
-    key = parts if isinstance(parts, PartitionIndex) else PartitionIndex(tuple(parts))
-    if table is None:
-        table = _DEFAULT_TABLE
-    if key in table:
-        return table[key]
+def _vector_partitions(
+    rem: tuple[int, ...], bound: tuple[int, ...]
+) -> Iterator[list[tuple[int, ...]]]:
+    """Partitions of the multiplicity vector rem into non-zero blocks.
 
-    n = len(key)
-    s = key.weight
-    if n == 1:
-        value = factorial(s - 2)
-    else:
-        acc = Fraction(factorial(s - 2)) - _recursion_sum(key.parts, table)
-        if acc.denominator != 1 or acc <= 0:
-            raise AssertionError(
-                f"recursion for {key.parts} gave non positive-integer value {acc}"
-            )
-        value = int(acc)
-    table.store(key, value)
+    Blocks come in non-increasing lexicographic order, none above bound,
+    so each partition appears exactly once.  The largest block holds the
+    first value still present, which cuts the search to those blocks.
+    """
+    if not any(rem):
+        yield []
+        return
+    first = next(i for i, r in enumerate(rem) if r)
+    for block in product(*(range(r, -1, -1) for r in rem)):
+        if block[first] == 0:
+            break
+        if block > bound:
+            continue
+        rest = tuple(r - b for r, b in zip(rem, block))
+        for tail in _vector_partitions(rest, block):
+            yield [block, *tail]
+
+
+def _multiset_partitions(key: tuple[int, ...]) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """(count, blocks) for each multiset partition of a non-increasing key.
+
+    blocks are non-increasing tuples, equal blocks adjacent, and count is
+    the number of set partitions of the key's positions with these blocks.
+    """
+    values = sorted(set(key), reverse=True)
+    total = _multiplicity_factor(key)
+    multiplicities = tuple(key.count(v) for v in values)
+    for vectors in _vector_partitions(multiplicities, multiplicities):
+        blocks = [tuple(v for v, c in zip(values, vec) for _ in range(c)) for vec in vectors]
+        denominator = _multiplicity_factor(blocks) * prod(map(_multiplicity_factor, blocks))
+        count, remainder = divmod(total, denominator)
+        if remainder:
+            raise AssertionError(f"set-partition count of {blocks} in {key} is not an integer")
+        yield count, blocks
+
+
+@cache
+def _p(key: tuple[int, ...]) -> int:
+    """p-number of a non-empty, non-increasing key of parts >= 2."""
+    s = sum(key)
+    top = factorial(s - 2)
+    if len(key) == 1:
+        return top
+    subtracted = 0
+    for count, blocks in _multiset_partitions(key):
+        if len(blocks) < 2:
+            continue
+        term = count * perm(s - 2, len(blocks) - 2)
+        for block in blocks:
+            term *= (sum(block) - 1) * _p(block)
+        subtracted += term
+    value = top - subtracted
+    if value <= 0:
+        raise AssertionError(f"recursion for {key} gave non-positive value {value}")
     return value
 
 
-def _recursion_sum(parts: tuple[int, ...], table: PNumberTable | None = None) -> Fraction:
-    """The subtracted double sum of the recursion, for indices in the given order.
-
-    Exposed separately so the permutation invariance of the right-hand side
-    can be tested on unsorted inputs.
-    """
-    n = len(parts)
-    s = sum(parts)
-    acc = Fraction(0)
-    for blocks in set_partitions(n):
-        t = len(blocks)
-        if t < 2:
-            continue
-        term = Fraction(_falling(s - 2, t - 2) * factorial(t), factorial(t))
-        for block in blocks:
-            block_sum = sum(parts[i] for i in block)
-            term *= (block_sum - 1) * p_value(
-                tuple(parts[i] for i in block), table
-            )
-        acc += term
-    return acc
+def p_value(parts) -> int:
+    """The positive integer p_{s_1,..,s_n}; indices may come in any order."""
+    key = tuple(sorted(parts, reverse=True))
+    if not key:
+        raise ValueError("at least one part required")
+    if key[-1] < 2:
+        raise ValueError("all parts must be >= 2")
+    return _p(key)
 
 
 def p_bw_value(b: tuple[int, ...], w: tuple[int, ...]) -> int:
@@ -268,8 +220,8 @@ class WeightedMonomialSeries:
         return self.terms == other.terms
 
 
-def _partitions_min2(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of total into parts >= 2, non-increasing."""
+def partitions_min2(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of total into parts >= 2, non-increasing, in decreasing lexicographic order."""
     if max_part is None:
         max_part = total
     if total == 0:
@@ -278,25 +230,11 @@ def _partitions_min2(total: int, max_part: int | None = None) -> Iterator[tuple[
     for first in range(min(total, max_part), 1, -1):
         if total - first == 1:
             continue
-        for rest in _partitions_min2(total - first, first):
+        for rest in partitions_min2(total - first, first):
             yield (first,) + rest
 
 
-def _multiplicity_factor(parts: tuple[int, ...]) -> int:
-    """prod over distinct part values of (multiplicity)!"""
-    out = 1
-    run = 1
-    for a, b in zip(parts, parts[1:]):
-        if a == b:
-            run += 1
-        else:
-            out *= factorial(run)
-            run = 1
-    out *= factorial(run)
-    return out
-
-
-def t_series(weight: int, table: PNumberTable | None = None) -> WeightedMonomialSeries:
+def t_series(weight: int) -> WeightedMonomialSeries:
     """The generating series of the p-numbers, truncated to total weight.
 
     The term at t^s carries (s-1) * p_{s_1,..,s_n} / (prod multiplicities!)
@@ -308,8 +246,8 @@ def t_series(weight: int, table: PNumberTable | None = None) -> WeightedMonomial
         raise ValueError("weight must be positive")
     series = WeightedMonomialSeries.one(weight)
     for s in range(2, weight + 1):
-        for parts in _partitions_min2(s):
-            coeff = Fraction(s - 1, _multiplicity_factor(parts)) * p_value(parts, table)
+        for parts in partitions_min2(s):
+            coeff = Fraction(s - 1, _multiplicity_factor(parts)) * p_value(parts)
             series._add_term(s, parts, coeff)
     return series
 
@@ -327,13 +265,11 @@ def exp_subscript_series(weight: int) -> WeightedMonomialSeries:
     return result
 
 
-def verify_multivariate_relation(
-    k_max: int, weight: int, table: PNumberTable | None = None
-) -> bool:
+def verify_multivariate_relation(k_max: int, weight: int) -> bool:
     """Check (1/k!) [t^k] T^k = [t^k] exp(sum t_i t^i) for 0 <= k <= k_max."""
     if weight < k_max:
         raise ValueError("weight must be at least k_max")
-    t_ser = t_series(weight, table)
+    t_ser = t_series(weight)
     rhs = exp_subscript_series(weight)
     power = WeightedMonomialSeries.one(weight)
     for k in range(k_max + 1):
@@ -395,16 +331,14 @@ class HomogeneousVolumePolynomial:
         return total
 
 
-def pgvn_polynomial(
-    g: int, n: int, table: PNumberTable | None = None
-) -> HomogeneousVolumePolynomial:
+def pgvn_polynomial(g: int, n: int) -> HomogeneousVolumePolynomial:
     """2^n sum over compositions s of g+n of p_{2s} prod L_i^{2s_i-2}/(2s_i)!."""
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     terms: dict[tuple[int, ...], Fraction] = {}
     for comp in compositions(g + n, n, minimum=1):
         exps = tuple(2 * s - 2 for s in comp)
-        coeff = Fraction(2**n) * p_value(tuple(2 * s for s in comp), table)
+        coeff = Fraction(2**n) * p_value(tuple(2 * s for s in comp))
         for s in comp:
             coeff /= factorial(2 * s)
         terms[exps] = terms.get(exps, Fraction(0)) + coeff

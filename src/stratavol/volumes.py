@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
-from .pnum import PNumberTable, compositions, p_value
+from .pnum import compositions, p_value
 from .scalars import PiScaled, bernoulli, zeta_even
 from .series import (
     TruncatedSeries,
@@ -30,7 +31,6 @@ from .series import (
 )
 
 __all__ = [
-    "VolumeTable",
     "a_gn",
     "vol_n",
     "total_volume",
@@ -39,39 +39,11 @@ __all__ = [
     "verify_bivariate_relation",
     "cylinder_partial_sum",
     "asymptotic_prediction",
-    "default_volume_table",
 ]
 
 
-class VolumeTable:
-    """Insert-only memo of the normalized contributions a_{g,n}."""
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple[int, int], Fraction] = {}
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self.entries
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.entries[key]
-
-    def store(self, key: tuple[int, int], value: Fraction) -> None:
-        g, n = key
-        if not (1 <= n <= g):
-            raise ValueError(f"invalid key (g, n) = {key}")
-        if value <= 0:
-            raise ValueError(f"a_{key} must be positive, got {value}")
-        self.entries[key] = value
-
-
-_DEFAULT_VOLUMES = VolumeTable()
-
-
-def default_volume_table() -> VolumeTable:
-    return _DEFAULT_VOLUMES
-
-
-def a_gn(g: int, n: int, table: PNumberTable | None = None) -> Fraction:
+@cache
+def a_gn(g: int, n: int) -> Fraction:
     """Normalized n-cylinder contribution for genus g (Bernoulli form).
 
     a_{g,n} = (1/n!) sum over compositions s_1+..+s_n = g, s_i >= 1, of
@@ -79,34 +51,31 @@ def a_gn(g: int, n: int, table: PNumberTable | None = None) -> Fraction:
     """
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    key = (g, n)
-    if table is None and key in _DEFAULT_VOLUMES:
-        return _DEFAULT_VOLUMES[key]
     total = Fraction(0)
     for comp in compositions(g, n, minimum=1):
-        term = Fraction(p_value(tuple(2 * s for s in comp), table))
+        term = Fraction(p_value(tuple(2 * s for s in comp)))
         for s in comp:
             term *= Fraction((-1) ** (s + 1)) * bernoulli(2 * s) / (2 * s * factorial(2 * s))
         total += term
     total /= factorial(n)
-    if table is None:
-        _DEFAULT_VOLUMES.store(key, total)
+    if total <= 0:
+        raise AssertionError(f"a_{{{g},{n}}} must be positive, got {total}")
     return total
 
 
-def vol_n(g: int, n: int, table: PNumberTable | None = None) -> PiScaled:
+def vol_n(g: int, n: int) -> PiScaled:
     """Contribution of n-cylinder surfaces: 2 (2 pi)^(2g) / (2g-1)! * a_{g,n}.
 
     Also computed through the zeta form
         (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i
     and asserted equal; the pi-powers cancel identically.
     """
-    coeff = Fraction(2) * 2 ** (2 * g) / factorial(2 * g - 1) * a_gn(g, n, table)
+    coeff = Fraction(2) * 2 ** (2 * g) / factorial(2 * g - 1) * a_gn(g, n)
     result = PiScaled(coeff, 2 * g)
 
     zeta_total = PiScaled(Fraction(0), 2 * g)
     for comp in compositions(g, n, minimum=1):
-        term = PiScaled(Fraction(p_value(tuple(2 * s for s in comp), table)), 0)
+        term = PiScaled(Fraction(p_value(tuple(2 * s for s in comp))), 0)
         for s in comp:
             term = term * zeta_even(s).scale(Fraction(1, s))
         zeta_total = zeta_total + term
@@ -119,17 +88,17 @@ def vol_n(g: int, n: int, table: PNumberTable | None = None) -> PiScaled:
     return result
 
 
-def total_volume(g: int, table: PNumberTable | None = None) -> PiScaled:
+def total_volume(g: int) -> PiScaled:
     """Sum of the n-cylinder contributions over 1 <= n <= g."""
     if g < 1:
         raise ValueError("g must be >= 1")
     total = PiScaled(Fraction(0), 2 * g)
     for n in range(1, g + 1):
-        total = total + vol_n(g, n, table)
+        total = total + vol_n(g, n)
     return total
 
 
-def c_series(order: int, table: PNumberTable | None = None) -> TruncatedSeries:
+def c_series(order: int) -> TruncatedSeries:
     """C(t,u) = 1 + sum_{g>=1} (sum_n a_{g,n} u^n) (2g-1) t^(2g), truncated."""
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be even and positive")
@@ -137,7 +106,7 @@ def c_series(order: int, table: PNumberTable | None = None) -> TruncatedSeries:
     for g in range(1, order // 2 + 1):
         poly = [Fraction(0)] * (g + 1)
         for n in range(1, g + 1):
-            poly[n] = Fraction(2 * g - 1) * a_gn(g, n, table)
+            poly[n] = Fraction(2 * g - 1) * a_gn(g, n)
         entries[2 * g] = UPoly(poly)
     return TruncatedSeries.from_dict(order, entries)
 
@@ -162,7 +131,7 @@ def c_series_inverse_route(order: int) -> TruncatedSeries:
     return series_inverse(q_inv.shift_down()).truncate(order)
 
 
-def verify_bivariate_relation(g_max: int, table: PNumberTable | None = None) -> bool:
+def verify_bivariate_relation(g_max: int) -> bool:
     """Check (1/(2g)!) [t^(2g)] C(t,u)^(2g) = [t^(2g)] ((t/2)/sin(t/2))^u.
 
     Both sides are exact polynomials in u; the identity is checked for all
@@ -173,7 +142,7 @@ def verify_bivariate_relation(g_max: int, table: PNumberTable | None = None) -> 
     if g_max == 0:
         return True
     order = 2 * g_max
-    c = c_series(order, table)
+    c = c_series(order)
     rhs = series_pow_u(sine_quotient(order))
     power = TruncatedSeries.one(order)  # C^k, k running over 0..2*g_max
     k = 0

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from stratavol import volumes
 from stratavol.cli import main
-from stratavol.pnum import PNumberTable
+from stratavol.pnum import p_value, partitions_min2
 
 
 def run_cli(argv):
@@ -164,31 +165,36 @@ class TestVerify:
         assert info.value.code == 2
 
 
-class TestCache:
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
+class TestOutsideState:
+    def test_poisoned_cache_file_ignored(self, tmp_path, monkeypatch):
+        # A full weight-20 memo file in the format the CLI once read, with
+        # p_{4,2} poisoned; no file may change a printed value.
+        entries = [
+            {"parts": list(parts), "value": str(19 if parts == (4, 2) else p_value(parts))}
+            for weight in range(2, 21, 2)
+            for parts in partitions_min2(weight)
+            if not any(part % 2 for part in parts)
+        ]
         path = tmp_path / "memo.json"
-        monkeypatch.setenv("STRATAVOL_CACHE", str(path))
-        code, _ = run_cli(["pnumbers", "--weight", "4", "--format", "json"])
-        assert code == 0
-        stored = PNumberTable.from_json(path.read_text())
-        assert len(stored.entries) >= 3
-        # loads cleanly on a second run
-        code, _ = run_cli(["pnumbers", "--weight", "4", "--format", "json"])
-        assert code == 0
-
-    def test_corrupt_value_detected(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "memo.json"
-        path.write_text(json.dumps([{"parts": [4, 2], "value": "19"}]))
+        path.write_text(json.dumps(entries))
+        before = path.read_bytes()
         monkeypatch.setenv("STRATAVOL_CACHE", str(path))
         code, text = run_cli(["pnumbers", "--weight", "8", "--format", "json"])
         assert code == 0
         assert {"parts": [4, 2], "value": "18"} in json.loads(text)
-        assert "spot check" in capsys.readouterr().err
-
-    def test_unreadable_cache_ignored(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "memo.json"
-        path.write_text("{not json")
-        monkeypatch.setenv("STRATAVOL_CACHE", str(path))
-        code, _ = run_cli(["pnumbers", "--weight", "2", "--format", "json"])
+        code, text = run_cli(["volumes", "--gmax", "3", "--format", "csv"])
         assert code == 0
-        assert "unreadable" in capsys.readouterr().err
+        assert "3,2,1/3840" in text.splitlines()
+        assert path.read_bytes() == before
+
+
+class TestInternalError:
+    def test_assertion_exits_three_without_traceback(self, monkeypatch, capsys):
+        def broken(g, n):
+            raise AssertionError("form mismatch")
+
+        monkeypatch.setattr(volumes, "a_gn", broken)
+        code, text = run_cli(["volumes", "--gmax", "2"])
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == "internal error: form mismatch\n"

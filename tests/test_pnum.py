@@ -1,20 +1,20 @@
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, perm
+from typing import Iterator
 
 import pytest
 
+from stratavol import pnum
 from stratavol.pnum import (
     HomogeneousVolumePolynomial,
-    PartitionIndex,
-    PNumberTable,
-    _recursion_sum,
+    _multiset_partitions,
     compositions,
     exp_subscript_series,
     p_bw_value,
     p_value,
+    partitions_min2,
     pgvn_polynomial,
-    set_partitions,
     t_series,
     verify_multivariate_relation,
 )
@@ -35,18 +35,59 @@ TABLE_2 = {
 }
 
 
-class TestPartitionIndex:
-    def test_sorts_non_increasing(self):
-        assert PartitionIndex((2, 4, 3)).parts == (4, 3, 2)
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
+
+def set_partitions(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """Unordered partitions of {0,..,n-1} into non-empty blocks.
+
+    Element i joins an existing block or opens a new one, which is the
+    restricted-growth enumeration; each partition appears exactly once.
+    """
+    blocks: list[list[int]] = []
+
+    def rec(i: int) -> Iterator[list[tuple[int, ...]]]:
+        if i == n:
+            yield [tuple(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def reference_sum(parts: tuple[int, ...]) -> Fraction:
+    """The subtracted double sum of the recursion, as written, for indices in the given order.
+
+    Sums in rationals over all Bell(n) set partitions of the positions, each
+    counted with its t! labelings and the 1/t! of the recursion.
+    """
+    s = sum(parts)
+    acc = Fraction(0)
+    for blocks in set_partitions(len(parts)):
+        t = len(blocks)
+        if t < 2:
+            continue
+        term = Fraction(perm(s - 2, t - 2) * factorial(t), factorial(t))
+        for block in blocks:
+            block_sum = sum(parts[i] for i in block)
+            term *= (block_sum - 1) * p_value(tuple(parts[i] for i in block))
+        acc += term
+    return acc
+
+
+class TestPartitionIndex:
+    # A key of p_value is a partition index: a non-empty multiset of parts >= 2.
     def test_rejects_small_parts(self):
         with pytest.raises(ValueError):
-            PartitionIndex((2, 1))
+            p_value((2, 1))
         with pytest.raises(ValueError):
-            PartitionIndex(())
-
-    def test_equality_is_tuple_equality(self):
-        assert PartitionIndex((4, 2)) == PartitionIndex((2, 4))
+            p_value(())
 
 
 class TestPValue:
@@ -68,21 +109,24 @@ class TestPValue:
             assert isinstance(value, int) and value > 0
 
     def test_order_invariance_of_raw_recursion(self):
-        for parts in [(4, 3, 2), (5, 2, 2), (3, 2, 2, 2)]:
-            s = sum(parts)
-            reference = factorial(s - 2) - _recursion_sum(parts)
-            for perm in permutations(parts):
-                assert factorial(s - 2) - _recursion_sum(perm) == reference
-            assert reference == p_value(parts)
+        # Every key of weight <= 12, odd parts included, in every order of
+        # its parts: the integer core equals the set-partition route.
+        for weight in range(2, 13):
+            for parts in partitions_min2(weight):
+                s = sum(parts)
+                for ordering in set(permutations(parts)):
+                    assert p_value(ordering) == factorial(s - 2) - reference_sum(ordering)
 
     def test_part_below_two_rejected(self):
         with pytest.raises(ValueError):
             p_value((4, 1))
 
-    def test_fresh_table_isolated(self):
-        table = PNumberTable()
-        assert p_value((4, 2), table) == 18
-        assert PartitionIndex((4, 2)) in table
+    def test_nonpositive_value_is_an_internal_error(self, monkeypatch):
+        # p_{2,2} = 2! - p_2 * p_2; an inflated p_2 must not pass silently.
+        uncached = pnum._p.__wrapped__
+        monkeypatch.setattr(pnum, "_p", lambda key: 2)
+        with pytest.raises(AssertionError):
+            uncached((2, 2))
 
 
 class TestPbw:
@@ -103,13 +147,25 @@ class TestPbw:
 
 class TestSetPartitions:
     def test_bell_numbers(self):
-        for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
+        for n, bell in BELL.items():
             assert sum(1 for _ in set_partitions(n)) == bell
 
     def test_blocks_partition_ground_set(self):
         for blocks in set_partitions(4):
             flat = sorted(i for block in blocks for i in block)
             assert flat == [0, 1, 2, 3]
+
+
+class TestMultisetPartitions:
+    @pytest.mark.parametrize("key", [(6, 4, 4, 2, 2, 2), (2, 2, 2, 2, 2, 2)])
+    def test_weights_sum_to_bell_number(self, key):
+        assert sum(count for count, _ in _multiset_partitions(key)) == BELL[6]
+
+    def test_each_partition_once(self):
+        found = [tuple(blocks) for _, blocks in _multiset_partitions((4, 2, 2))]
+        assert sorted(found) == sorted(
+            [((4, 2, 2),), ((4, 2), (2,)), ((4,), (2, 2)), ((4,), (2,), (2,))]
+        )
 
 
 class TestTSeries:
@@ -167,19 +223,6 @@ class TestPgvn:
             HomogeneousVolumePolynomial(1, 1, {(2,): Fraction(-1)})
         with pytest.raises(ValueError):
             HomogeneousVolumePolynomial(1, 1, {(1,): Fraction(1)})
-
-
-class TestTableSerialization:
-    def test_json_round_trip(self):
-        table = PNumberTable()
-        p_value((4, 2), table)
-        text = table.to_json()
-        loaded = PNumberTable.from_json(text)
-        assert loaded.entries == table.entries
-
-    def test_store_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PNumberTable().store(PartitionIndex((2,)), 0)
 
 
 def test_compositions_enumeration():

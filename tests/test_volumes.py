@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from stratavol import volumes
 from stratavol.scalars import PiScaled
 from stratavol.series import UPoly
 from stratavol.volumes import (
@@ -44,6 +45,11 @@ class TestAgn:
     def test_domain_rejected(self, g, n):
         with pytest.raises(ValueError):
             a_gn(g, n)
+
+    def test_nonpositive_value_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(volumes, "p_value", lambda parts: 0)
+        with pytest.raises(AssertionError):
+            a_gn.__wrapped__(2, 1)
 
 
 class TestVolN:
