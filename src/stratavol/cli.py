@@ -24,6 +24,7 @@ import json
 import sys
 
 from . import pnum, ribbon, sts, volumes
+from .permutation import partitions
 from .pnum import p_value
 from .ribbon import PerimeterPair
 from .scalars import format_rational
@@ -105,13 +106,13 @@ def _emit_rows(args, header: list[str], rows: list[dict], out) -> None:
 
 def _parse_perimeters(text: str | None, flag: str) -> tuple[int, ...]:
     if not text:
-        raise SystemExit(f"error: {flag} is required for this count")
+        raise ValueError(f"{flag} is required for this count")
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise SystemExit(f"error: {flag} must be comma-separated integers")
+        raise ValueError(f"{flag} must be comma-separated integers") from None
     if not values:
-        raise SystemExit(f"error: {flag} must be non-empty")
+        raise ValueError(f"{flag} must be non-empty")
     return values
 
 
@@ -122,7 +123,7 @@ def _parse_perimeters(text: str | None, flag: str) -> tuple[int, ...]:
 
 def cmd_volumes(args, out) -> int:
     if args.gmax > GMAX_LIMIT:
-        raise SystemExit(f"error: --gmax is capped at {GMAX_LIMIT}")
+        raise ValueError(f"--gmax is capped at {GMAX_LIMIT}")
     rows = []
     header = ["g", "n", "a_gn"]
     if args.format == "json":
@@ -145,13 +146,12 @@ def cmd_volumes(args, out) -> int:
 
 def cmd_pnumbers(args, out) -> int:
     if args.weight > WEIGHT_LIMIT:
-        raise SystemExit(f"error: --weight is capped at {WEIGHT_LIMIT}")
+        raise ValueError(f"--weight is capped at {WEIGHT_LIMIT}")
     entries = []
     for weight in range(2, args.weight + 1, 2):
-        for parts in pnum.partitions_min2(weight):
-            if any(part % 2 for part in parts):
-                continue
-            entries.append({"parts": list(parts), "value": str(p_value(parts))})
+        for half in partitions(weight // 2):
+            parts = [2 * x for x in half]
+            entries.append({"parts": parts, "value": str(p_value(parts))})
     if args.format == "json":
         print(json.dumps(entries, sort_keys=True), file=out)
     else:
@@ -165,9 +165,9 @@ def cmd_pnumbers(args, out) -> int:
 
 def cmd_series(args, out) -> int:
     if args.order > ORDER_LIMIT:
-        raise SystemExit(f"error: --order is capped at {ORDER_LIMIT}")
+        raise ValueError(f"--order is capped at {ORDER_LIMIT}")
     if args.order < 2 or args.order % 2:
-        raise SystemExit("error: --order must be even and >= 2")
+        raise ValueError("--order must be even and >= 2")
     series = volumes.c_series(args.order)
     rows = []
     for k in range(series.order + 1):
@@ -192,7 +192,7 @@ def cmd_series(args, out) -> int:
 def cmd_count(args, out) -> int:
     if args.kind == "sts":
         if args.genus < 1:
-            raise SystemExit("error: --genus must be >= 1 for sts counts")
+            raise ValueError("--genus must be >= 1 for sts counts")
         table = sts.census(args.genus, args.max_squares)
         rows = []
         cumulative = 0
@@ -228,8 +228,8 @@ def _oracle_p_check(seed: int) -> tuple[bool, str]:
     for k in range(1, 5):
         for l in range(1, 5):
             for n in range(1, min(k, l) + 1):
-                for b in pnum.compositions(k, n, 1):
-                    for w in pnum.compositions(l, n, 1):
+                for b in pnum.compositions(k, n):
+                    for w in pnum.compositions(l, n):
                         if ribbon.p0_oracle(b, w, seed=seed) != pnum.p_bw_value(b, w):
                             return False, f"mismatch at b={b}, w={w}"
                         checked += 1
@@ -237,7 +237,8 @@ def _oracle_p_check(seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args, out) -> int:
-    n_max = min(args.max_squares, sts.MAX_SQUARES)
+    if args.max_squares > sts.MAX_SQUARES:
+        raise ValueError(f"--max-squares is capped at {sts.MAX_SQUARES}")
     checks: list[tuple[str, object]] = []
     if args.suite in ("bivariate", "all"):
         checks.append(
@@ -261,9 +262,9 @@ def cmd_verify(args, out) -> int:
             (
                 "oracle-sts",
                 lambda: (
-                    sts.verify_cylinder_formula(1, n_max)
-                    and sts.verify_cylinder_formula(2, n_max),
-                    f"g <= 2, N <= {n_max}",
+                    sts.verify_cylinder_formula(1, args.max_squares)
+                    and sts.verify_cylinder_formula(2, args.max_squares),
+                    f"g <= 2, N <= {args.max_squares}",
                 ),
             )
         )

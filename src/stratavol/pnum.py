@@ -34,6 +34,8 @@ from itertools import product
 from math import factorial, perm, prod
 from typing import Iterator
 
+from .permutation import partitions
+
 __all__ = [
     "p_value",
     "p_bw_value",
@@ -44,7 +46,6 @@ __all__ = [
     "HomogeneousVolumePolynomial",
     "pgvn_polynomial",
     "compositions",
-    "partitions_min2",
 ]
 
 
@@ -220,20 +221,6 @@ class WeightedMonomialSeries:
         return self.terms == other.terms
 
 
-def partitions_min2(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of total into parts >= 2, non-increasing, in decreasing lexicographic order."""
-    if max_part is None:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 1, -1):
-        if total - first == 1:
-            continue
-        for rest in partitions_min2(total - first, first):
-            yield (first,) + rest
-
-
 def t_series(weight: int) -> WeightedMonomialSeries:
     """The generating series of the p-numbers, truncated to total weight.
 
@@ -246,7 +233,9 @@ def t_series(weight: int) -> WeightedMonomialSeries:
         raise ValueError("weight must be positive")
     series = WeightedMonomialSeries.one(weight)
     for s in range(2, weight + 1):
-        for parts in partitions_min2(s):
+        for parts in partitions(s):
+            if parts[-1] < 2:
+                continue
             coeff = Fraction(s - 1, _multiplicity_factor(parts)) * p_value(parts)
             series._add_term(s, parts, coeff)
     return series
@@ -288,14 +277,14 @@ def verify_multivariate_relation(k_max: int, weight: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def compositions(total: int, n: int, minimum: int = 1) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of n integers >= minimum summing to total."""
+def compositions(total: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of n positive integers summing to total."""
     if n == 1:
-        if total >= minimum:
+        if total >= 1:
             yield (total,)
         return
-    for first in range(minimum, total - minimum * (n - 1) + 1):
-        for rest in compositions(total - first, n - 1, minimum):
+    for first in range(1, total - (n - 1) + 1):
+        for rest in compositions(total - first, n - 1):
             yield (first,) + rest
 
 
@@ -336,7 +325,7 @@ def pgvn_polynomial(g: int, n: int) -> HomogeneousVolumePolynomial:
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     terms: dict[tuple[int, ...], Fraction] = {}
-    for comp in compositions(g + n, n, minimum=1):
+    for comp in compositions(g + n, n):
         exps = tuple(2 * s - 2 for s in comp)
         coeff = Fraction(2**n) * p_value(tuple(2 * s for s in comp))
         for s in comp:

@@ -21,9 +21,6 @@ isomorphisms between such representatives are exactly conjugations by
 powers of sigma (the centralizer of an E-cycle is the cyclic group it
 generates).  Enumeration therefore scans rho_black over S_E and classifies
 the labeled survivors up to the E rotations, which also yields |Aut|.
-
-A dart-level view (rotation, pairing) is exposed for inspection and
-serialization: dart 2e is the black end of edge e, dart 2e+1 its white end.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations as _all_perms
 from math import factorial
 
@@ -49,7 +47,6 @@ __all__ = [
     "PerimeterPair",
     "EdgeForm",
     "Wall",
-    "MetricAssignment",
     "enumerate_graphs",
     "count_metrics",
     "counting_function",
@@ -109,51 +106,6 @@ class RibbonGraph:
         """(black label, white label) of edge e."""
         return self.black_labels[e], self.white_labels[e]
 
-    # Dart-level view: dart 2e = black end of e, dart 2e+1 = white end.
-
-    @property
-    def dart_count(self) -> int:
-        return 2 * self.num_edges
-
-    def rotation(self) -> Perm:
-        rot = [0] * self.dart_count
-        for e in range(self.num_edges):
-            rot[2 * e] = 2 * self.rho_black[e]
-            rot[2 * e + 1] = 2 * self.rho_white[e] + 1
-        return tuple(rot)
-
-    def pairing(self) -> Perm:
-        pair = [0] * self.dart_count
-        for e in range(self.num_edges):
-            pair[2 * e] = 2 * e + 1
-            pair[2 * e + 1] = 2 * e
-        return tuple(pair)
-
-    def vertices(self) -> list[tuple[str, int, tuple[int, ...]]]:
-        """(color, label, edges in cyclic order) for every vertex."""
-        out = []
-        for cyc in cycles(self.rho_black):
-            out.append(("black", self.black_labels[cyc[0]], cyc))
-        for cyc in cycles(self.rho_white):
-            out.append(("white", self.white_labels[cyc[0]], cyc))
-        return out
-
-    def to_json(self, aut: int | None = None) -> dict[str, object]:
-        data: dict[str, object] = {
-            "darts": self.dart_count,
-            "rotation": list(self.rotation()),
-            "pairing": list(self.pairing()),
-            "colors": [
-                {"color": color, "label": label, "edges": list(cyc)}
-                for color, label, cyc in self.vertices()
-            ],
-            "genus": self.genus(),
-            "faces": self.face_count(),
-        }
-        if aut is not None:
-            data["aut"] = aut
-        return data
-
 
 @dataclass(frozen=True)
 class PerimeterPair:
@@ -211,27 +163,6 @@ class EdgeForm:
 
 
 @dataclass(frozen=True)
-class MetricAssignment:
-    """Positive integral edge weights of a graph."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(w < 1 for w in self.weights):
-            raise ValueError("metric weights must be positive integers")
-
-    def perimeters(self, graph: RibbonGraph) -> PerimeterPair:
-        """The vertex perimeters this metric induces on the graph."""
-        black = [0] * graph.k
-        white = [0] * graph.l
-        for e, w in enumerate(self.weights):
-            b, wl = graph.edge_endpoints(e)
-            black[b - 1] += w
-            white[wl - 1] += w
-        return PerimeterPair(tuple(black), tuple(white))
-
-
-@dataclass(frozen=True)
 class Wall:
     """Intersection of walls of H_{k,l}: the locus where the equations vanish."""
 
@@ -277,20 +208,15 @@ class Wall:
 # Enumeration of the graph families
 # ---------------------------------------------------------------------------
 
-_GRAPH_CACHE: dict[tuple[int, int, int], list[tuple[RibbonGraph, int]]] = {}
-
-
 def _sigma(e: int) -> Perm:
     return tuple((i + 1) % e for i in range(e))
 
 
+@cache
 def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
     """All isomorphism classes of the (g, k, l) family with |Aut| counts."""
     if g < 0 or k < 1 or l < 1:
         raise ValueError("need g >= 0, k >= 1, l >= 1")
-    key = (g, k, l)
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
     n_edges = k + l - 1 + 2 * g
     if n_edges > MAX_EDGES:
         raise ValueError(
@@ -317,7 +243,6 @@ def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
         base_seen.add(min(orbit))
         stab = [j for j, image in enumerate(orbit) if image == rho_b]
         classes.extend(_labeled_classes(rho_b, rho_w, rotations, stab))
-    _GRAPH_CACHE[key] = classes
     return classes
 
 
@@ -389,82 +314,39 @@ def _labeled_classes(
 # ---------------------------------------------------------------------------
 
 
-class _MetricContext:
-    """Spanning-tree data for fast metric counting on one graph."""
+@cache
+def _spanning_tree(graph: RibbonGraph):
+    """Spanning-tree data for fast metric counting on one graph.
 
-    def __init__(self, graph: RibbonGraph) -> None:
-        self.graph = graph
-        n_edges = graph.num_edges
-        k, l = graph.k, graph.l
-        # Vertices 0..k-1 black, k..k+l-1 white.
-        self.ends = [
-            (graph.black_labels[e] - 1, k + graph.white_labels[e] - 1)
-            for e in range(n_edges)
-        ]
-        adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(k + l)}
-        for e, (b, w) in enumerate(self.ends):
-            adjacency[b].append((w, e))
-            adjacency[w].append((b, e))
-        tree_edges: list[int] = []
-        visited = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u, e in adjacency[v]:
-                if u not in visited:
-                    visited.add(u)
-                    tree_edges.append(e)
-                    stack.append(u)
-        if len(visited) != k + l:
-            raise ValueError("graph is not connected")
-        self.tree_edges = tree_edges
-        in_tree = set(tree_edges)
-        self.free_edges = [e for e in range(n_edges) if e not in in_tree]
-        self.tree_forms = [
-            _split_form(self.ends, tree_edges, e, k, l) for e in tree_edges
-        ]
-
-    def count(self, black, white) -> int:
-        if sum(black) != sum(white):
-            return 0
-        if any(x < 1 for x in black) or any(x < 1 for x in white):
-            return 0
-        k = self.graph.k
-        bounds = []
-        for e in self.free_edges:
-            b, w = self.ends[e]
-            ub = min(black[b], white[w - k])
-            if ub < 1:
-                return 0
-            bounds.append(ub)
-        total = 0
-        assignment = [0] * len(self.free_edges)
-
-        def rec(pos: int) -> None:
-            nonlocal total
-            if pos == len(self.free_edges):
-                total += self._tree_positive(black, white, assignment)
-                return
-            for value in range(1, bounds[pos] + 1):
-                assignment[pos] = value
-                rec(pos + 1)
-
-        rec(0)
-        return total
-
-    def _tree_positive(self, black, white, assignment) -> int:
-        k = self.graph.k
-        res_black = list(black)
-        res_white = list(white)
-        for e, value in zip(self.free_edges, assignment):
-            b, w = self.ends[e]
-            res_black[b] -= value
-            res_white[w - k] -= value
-        for bset, wset in self.tree_forms:
-            weight = sum(res_black[i] for i in bset) - sum(res_white[j] for j in wset)
-            if weight < 1:
-                return 0
-        return 1
+    Returns (ends, tree edges, free edges, bridge forms of the tree edges),
+    with vertices 0..k-1 black and k..k+l-1 white in ``ends``.
+    """
+    n_edges = graph.num_edges
+    k, l = graph.k, graph.l
+    ends = [
+        (graph.black_labels[e] - 1, k + graph.white_labels[e] - 1)
+        for e in range(n_edges)
+    ]
+    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(k + l)}
+    for e, (b, w) in enumerate(ends):
+        adjacency[b].append((w, e))
+        adjacency[w].append((b, e))
+    tree_edges: list[int] = []
+    visited = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u, e in adjacency[v]:
+            if u not in visited:
+                visited.add(u)
+                tree_edges.append(e)
+                stack.append(u)
+    if len(visited) != k + l:
+        raise ValueError("graph is not connected")
+    in_tree = set(tree_edges)
+    free_edges = [e for e in range(n_edges) if e not in in_tree]
+    tree_forms = [_split_form(ends, tree_edges, e, k, l) for e in tree_edges]
+    return ends, tree_edges, free_edges, tree_forms
 
 
 def _split_form(
@@ -500,17 +382,6 @@ def _split_form(
     return blacks, whites
 
 
-_CONTEXT_CACHE: dict[RibbonGraph, _MetricContext] = {}
-
-
-def _context(graph: RibbonGraph) -> _MetricContext:
-    ctx = _CONTEXT_CACHE.get(graph)
-    if ctx is None:
-        ctx = _MetricContext(graph)
-        _CONTEXT_CACHE[graph] = ctx
-    return ctx
-
-
 def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
     """Number of positive integral edge weights realizing the perimeters.
 
@@ -518,9 +389,49 @@ def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
     intervals; the remaining weights are forced linearly by the tree and
     checked for positivity.  Infeasible perimeters give 0.
     """
-    if len(p.black) != graph.k or len(p.white) != graph.l:
+    k = graph.k
+    if len(p.black) != k or len(p.white) != graph.l:
         raise ValueError("perimeter arity does not match the graph")
-    return _context(graph).count(p.black, p.white)
+    ends, _, free_edges, tree_forms = _spanning_tree(graph)
+    black, white = p.black, p.white
+    if sum(black) != sum(white):
+        return 0
+    if any(x < 1 for x in black) or any(x < 1 for x in white):
+        return 0
+    bounds = []
+    for e in free_edges:
+        b, w = ends[e]
+        ub = min(black[b], white[w - k])
+        if ub < 1:
+            return 0
+        bounds.append(ub)
+    total = 0
+    assignment = [0] * len(free_edges)
+
+    def tree_positive() -> int:
+        res_black = list(black)
+        res_white = list(white)
+        for e, value in zip(free_edges, assignment):
+            b, w = ends[e]
+            res_black[b] -= value
+            res_white[w - k] -= value
+        for bset, wset in tree_forms:
+            weight = sum(res_black[i] for i in bset) - sum(res_white[j] for j in wset)
+            if weight < 1:
+                return 0
+        return 1
+
+    def rec(pos: int) -> None:
+        nonlocal total
+        if pos == len(free_edges):
+            total += tree_positive()
+            return
+        for value in range(1, bounds[pos] + 1):
+            assignment[pos] = value
+            rec(pos + 1)
+
+    rec(0)
+    return total
 
 
 def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
@@ -543,27 +454,18 @@ def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
         raise ValueError("tree_weights requires a genus-0 graph")
     if not p.is_balanced():
         raise ValueError("perimeters must balance: sum L = sum L'")
-    ctx = _context(tree)
-    order = {e: i for i, e in enumerate(ctx.tree_edges)}
+    _, tree_edges, _, tree_forms = _spanning_tree(tree)
+    order = {e: i for i, e in enumerate(tree_edges)}
     values = [None] * tree.num_edges
     for e in range(tree.num_edges):
-        bset, wset = ctx.tree_forms[order[e]]
+        bset, wset = tree_forms[order[e]]
         values[e] = sum(p.black[i] for i in bset) - sum(p.white[j] for j in wset)
     return tuple(values)
 
 
-_TREE_FORMS_CACHE: dict[tuple[int, int], list[list[tuple[tuple[int, ...], tuple[int, ...]]]]] = {}
-
-
+@cache
 def _tree_forms(k: int, l: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    key = (k, l)
-    forms = _TREE_FORMS_CACHE.get(key)
-    if forms is None:
-        forms = [
-            _context(graph).tree_forms for graph, _ in enumerate_graphs(0, k, l)
-        ]
-        _TREE_FORMS_CACHE[key] = forms
-    return forms
+    return [_spanning_tree(graph)[3] for graph, _ in enumerate_graphs(0, k, l)]
 
 
 def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:

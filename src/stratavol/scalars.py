@@ -11,19 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
-    "Rational",
     "PiScaled",
     "bernoulli",
     "zeta_even",
     "format_rational",
-    "parse_rational",
 ]
-
-# The universal exact scalar.  Fraction already guarantees the invariants we
-# need: lowest terms, positive denominator, exact arithmetic.
-Rational = Fraction
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -34,13 +29,7 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
-_BERNOULLI_CACHE: list[Fraction] = []
-
-
+@cache
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m, convention B_1 = -1/2.
 
@@ -50,18 +39,12 @@ def bernoulli(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    while len(_BERNOULLI_CACHE) <= m:
-        n = len(_BERNOULLI_CACHE)
-        row = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            row[k] = Fraction(1, k + 1)
-            for j in range(k, 0, -1):
-                row[j - 1] = j * (row[j - 1] - row[j])
-        b = row[0]
-        if n == 1:
-            b = -b
-        _BERNOULLI_CACHE.append(b)
-    return _BERNOULLI_CACHE[m]
+    row = [Fraction(0)] * (m + 1)
+    for k in range(m + 1):
+        row[k] = Fraction(1, k + 1)
+        for j in range(k, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return -row[0] if m == 1 else row[0]
 
 
 @dataclass(frozen=True)

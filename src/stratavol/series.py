@@ -174,9 +174,6 @@ class TruncatedSeries:
     def constant_term(self) -> UPoly:
         return self.coeffs[0]
 
-    def valuation_at_least(self, v: int) -> bool:
-        return all(self.coeffs[k].is_zero() for k in range(min(v, self.order + 1)))
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations as _all_perms
 from math import factorial
 
@@ -45,6 +46,7 @@ from .permutation import (
     is_transitive,
     partitions,
 )
+from .pnum import compositions
 from .ribbon import PerimeterPair, counting_function
 
 __all__ = [
@@ -211,9 +213,7 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
 # Enumeration up to simultaneous conjugation
 # ---------------------------------------------------------------------------
 
-_CLASS_CACHE: dict[tuple[int, int], list[tuple[SquareTiledSurface, int]]] = {}
-
-
+@cache
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
     """Conjugacy classes of admissible pairs with exactly n_squares squares.
 
@@ -228,9 +228,6 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
         raise ValueError(f"need 1 <= N <= {MAX_SQUARES}")
     if n_squares < 2 * g - 1:
         return []
-    key = (g, n_squares)
-    if key in _CLASS_CACHE:
-        return _CLASS_CACHE[key]
 
     out: list[tuple[SquareTiledSurface, int]] = []
     for ctype in partitions(n_squares):
@@ -267,7 +264,6 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
                 raise AssertionError("orbit size does not divide the centralizer order")
             out.append((SquareTiledSurface(sh, min(orbit)), aut))
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
-    _CLASS_CACHE[key] = out
     return out
 
 
@@ -302,16 +298,6 @@ def _h_tuple_count(lengths: tuple[int, ...], budget: int) -> int:
     return total
 
 
-def _length_tuples(n: int, budget: int):
-    """Positive L-tuples usable within the budget (sum L_i <= budget)."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, budget - (n - 1) + 1):
-        for rest in _length_tuples(n - 1, budget - first):
-            yield (first,) + rest
-
-
 def predicted_cumulative_count(g: int, n_cyl: int, n_max: int) -> Fraction:
     """Right-hand side of the cylinder identity, summed up to n_max squares.
 
@@ -320,7 +306,12 @@ def predicted_cumulative_count(g: int, n_cyl: int, n_max: int) -> Fraction:
     exactly at every lattice point (walls included).
     """
     total = Fraction(0)
-    for lengths in _length_tuples(n_cyl, n_max):
+    all_lengths = (
+        lengths
+        for length_sum in range(n_cyl, n_max + 1)
+        for lengths in compositions(length_sum, n_cyl)
+    )
+    for lengths in all_lengths:
         weight = _h_tuple_count(lengths, n_max)
         if weight == 0:
             continue

@@ -52,7 +52,7 @@ def a_gn(g: int, n: int) -> Fraction:
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
     total = Fraction(0)
-    for comp in compositions(g, n, minimum=1):
+    for comp in compositions(g, n):
         term = Fraction(p_value(tuple(2 * s for s in comp)))
         for s in comp:
             term *= Fraction((-1) ** (s + 1)) * bernoulli(2 * s) / (2 * s * factorial(2 * s))
@@ -74,7 +74,7 @@ def vol_n(g: int, n: int) -> PiScaled:
     result = PiScaled(coeff, 2 * g)
 
     zeta_total = PiScaled(Fraction(0), 2 * g)
-    for comp in compositions(g, n, minimum=1):
+    for comp in compositions(g, n):
         term = PiScaled(Fraction(p_value(tuple(2 * s for s in comp))), 0)
         for s in comp:
             term = term * zeta_even(s).scale(Fraction(1, s))

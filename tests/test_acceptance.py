@@ -118,8 +118,8 @@ def test_criterion_06_positive_tree_oracle():
         for k in range(1, 5):
             for l in range(1, 5):
                 for n in range(1, min(k, l) + 1):
-                    for b in compositions(k, n, 1):
-                        for w in compositions(l, n, 1):
+                    for b in compositions(k, n):
+                        for w in compositions(l, n):
                             assert p0_oracle(b, w) == p_bw_value(b, w), (b, w)
                             checked += 1
         assert checked == 69

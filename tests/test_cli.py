@@ -5,13 +5,22 @@ import pytest
 
 from stratavol import volumes
 from stratavol.cli import main
-from stratavol.pnum import p_value, partitions_min2
+from stratavol.permutation import partitions
+from stratavol.pnum import p_value
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def assert_refused(argv, message, capsys):
+    """A refused input exits 2 with one error line and no output."""
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVolumes:
@@ -39,9 +48,8 @@ class TestVolumes:
         rows = json.loads(text)
         assert rows == [{"g": 1, "n": 1, "a_gn": "1/24", "vol": {"coeff": "1/3", "pi_exp": 2}}]
 
-    def test_gmax_guard(self):
-        with pytest.raises(SystemExit):
-            run_cli(["volumes", "--gmax", "11"])
+    def test_gmax_guard(self, capsys):
+        assert_refused(["volumes", "--gmax", "11"], "--gmax is capped at 10", capsys)
 
     def test_determinism(self):
         first = run_cli(["volumes", "--gmax", "3", "--format", "json"])
@@ -66,9 +74,8 @@ class TestPnumbers:
         assert code == 0
         assert json.loads(text) == []
 
-    def test_weight_guard(self):
-        with pytest.raises(SystemExit):
-            run_cli(["pnumbers", "--weight", "22"])
+    def test_weight_guard(self, capsys):
+        assert_refused(["pnumbers", "--weight", "22"], "--weight is capped at 20", capsys)
 
 
 class TestSeries:
@@ -78,9 +85,8 @@ class TestSeries:
         assert rows[2] == {"t_power": 2, "u_coeffs": ["0", "1/24"]}
         assert rows[3] == {"t_power": 3, "u_coeffs": []}
 
-    def test_order_guard(self):
-        with pytest.raises(SystemExit):
-            run_cli(["series", "--order", "3"])
+    def test_order_guard(self, capsys):
+        assert_refused(["series", "--order", "3"], "--order must be even and >= 2", capsys)
 
 
 class TestCount:
@@ -122,9 +128,17 @@ class TestCount:
         counts = [int(line.split(",")[3]) for line in lines[1:]]
         assert sum(counts) == 8
 
-    def test_missing_perimeters(self):
-        with pytest.raises(SystemExit):
-            run_cli(["count", "trees", "--black-perimeters", "3"])
+    def test_missing_perimeters(self, capsys):
+        assert_refused(
+            ["count", "trees", "--black-perimeters", "3"],
+            "--white-perimeters is required for this count",
+            capsys,
+        )
+
+    def test_sts_genus_guard(self, capsys):
+        assert_refused(
+            ["count", "sts", "--genus", "0"], "--genus must be >= 1 for sts counts", capsys
+        )
 
     def test_module_guard_propagates_as_failure(self):
         code, _ = run_cli(
@@ -154,6 +168,22 @@ class TestVerify:
         code, text = run_cli(["verify", "oracle-sts", "--max-squares", "4"])
         assert code == 0
 
+    def test_oracle_sts_squares_guard(self, capsys, monkeypatch):
+        # refused before any suite runs, not clamped to the cap
+        monkeypatch.setattr(
+            volumes, "verify_bivariate_relation", lambda g: pytest.fail("suite ran")
+        )
+        for suite in ("oracle-sts", "all"):
+            assert_refused(
+                ["verify", suite, "--max-squares", "12"], "--max-squares is capped at 8", capsys
+            )
+
+    def test_failed_identity_exits_one(self, monkeypatch):
+        monkeypatch.setattr(volumes, "verify_bivariate_relation", lambda g: False)
+        code, text = run_cli(["verify", "bivariate"])
+        assert code == 1
+        assert text.startswith("FAIL bivariate")
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as info:
             run_cli(["verify", "nonsense"])
@@ -172,7 +202,7 @@ class TestOutsideState:
         entries = [
             {"parts": list(parts), "value": str(19 if parts == (4, 2) else p_value(parts))}
             for weight in range(2, 21, 2)
-            for parts in partitions_min2(weight)
+            for parts in partitions(weight)
             if not any(part % 2 for part in parts)
         ]
         path = tmp_path / "memo.json"

@@ -50,7 +50,8 @@ def test_from_cycle_type_round_trip():
 
 
 def test_partition_counts():
-    assert sum(1 for _ in partitions(8)) == 22
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+    assert [sum(1 for _ in partitions(n)) for n in range(16)] == counts
     assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
 
 

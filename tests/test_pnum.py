@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, perm
+from math import comb, factorial, perm
 from typing import Iterator
 
 import pytest
 
 from stratavol import pnum
+from stratavol.permutation import partitions
 from stratavol.pnum import (
     HomogeneousVolumePolynomial,
     _multiset_partitions,
@@ -13,7 +14,6 @@ from stratavol.pnum import (
     exp_subscript_series,
     p_bw_value,
     p_value,
-    partitions_min2,
     pgvn_polynomial,
     t_series,
     verify_multivariate_relation,
@@ -112,7 +112,9 @@ class TestPValue:
         # Every key of weight <= 12, odd parts included, in every order of
         # its parts: the integer core equals the set-partition route.
         for weight in range(2, 13):
-            for parts in partitions_min2(weight):
+            for parts in partitions(weight):
+                if parts[-1] < 2:
+                    continue
                 s = sum(parts)
                 for ordering in set(permutations(parts)):
                     assert p_value(ordering) == factorial(s - 2) - reference_sum(ordering)
@@ -226,5 +228,10 @@ class TestPgvn:
 
 
 def test_compositions_enumeration():
-    assert sorted(compositions(4, 2, 1)) == [(1, 3), (2, 2), (3, 1)]
-    assert list(compositions(3, 1, 1)) == [(3,)]
+    assert sorted(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
+    assert list(compositions(3, 1)) == [(3,)]
+    for total in range(1, 11):
+        for n in range(1, total + 1):
+            found = list(compositions(total, n))
+            assert len(found) == len(set(found)) == comb(total - 1, n - 1)
+            assert all(len(c) == n and sum(c) == total and min(c) >= 1 for c in found)
