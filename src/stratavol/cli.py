@@ -111,9 +111,14 @@ def _parse_perimeters(text: str | None, flag: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated integers") from None
-    if not values:
-        raise ValueError(f"{flag} must be non-empty")
     return values
+
+
+def _check_max_squares(n: int) -> None:
+    if n < 1:
+        raise ValueError("--max-squares must be >= 1")
+    if n > sts.MAX_SQUARES:
+        raise ValueError(f"--max-squares is capped at {sts.MAX_SQUARES}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +198,7 @@ def cmd_count(args, out) -> int:
     if args.kind == "sts":
         if args.genus < 1:
             raise ValueError("--genus must be >= 1 for sts counts")
+        _check_max_squares(args.max_squares)
         table = sts.census(args.genus, args.max_squares)
         rows = []
         cumulative = 0
@@ -237,8 +243,7 @@ def _oracle_p_check(seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args, out) -> int:
-    if args.max_squares > sts.MAX_SQUARES:
-        raise ValueError(f"--max-squares is capped at {sts.MAX_SQUARES}")
+    _check_max_squares(args.max_squares)
     checks: list[tuple[str, object]] = []
     if args.suite in ("bivariate", "all"):
         checks.append(

@@ -4,6 +4,23 @@ The coefficient ring is Q[u], dense polynomials over exact rationals
 (:class:`UPoly`).  A :class:`TruncatedSeries` holds coefficients for
 t^0 .. t^order inclusive; arithmetic between series of different orders
 truncates to the shorter one, so precision never silently inflates.
+
+Powers, exp and log run a coefficient recurrence, O(n^2) products of
+coefficients at order n; the inverse runs one power per coefficient:
+
+* f^alpha, for f(0) = 1 and alpha a rational or a polynomial in u, by
+  J.C.P. Miller's recurrence k P_k = sum_{j=1..k} (alpha j - k + j)
+  f_j P_{k-j} (Knuth, TAOCP vol. 2, section 4.7); 1/f is alpha = -1 and
+  f^u is alpha = u;
+* exp and log by the recurrences of E' = f' E and f L' = f';
+* the compositional inverse r of q by the Lagrange inversion formula
+  [t^k] r = (1/k) [t^(k-1)] (q/t)^(-k) (Stanley, Enumerative
+  Combinatorics vol. 2, Theorem 5.4.2), O(n^3) products in all.  Newton
+  iteration with fast composition (Brent and Kung, J. ACM 25 (1978)) is
+  asymptotically faster, but not needed at the orders used here.
+
+Composition keeps its Horner evaluation; the tests use it as the
+independent check q(r(t)) = t of the inverse.
 """
 
 from __future__ import annotations
@@ -62,11 +79,6 @@ class UPoly:
 
     def coefficient(self, j: int) -> Fraction:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else Fraction(0)
-
-    def times_u(self) -> "UPoly":
-        if not self.coeffs:
-            return self
-        return UPoly((Fraction(0),) + self.coeffs)
 
     def __add__(self, other: "UPoly") -> "UPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -255,57 +267,92 @@ class TruncatedSeries:
         return f"<series order {self.order}: {body}>"
 
 
+def _dot(terms) -> UPoly:
+    """The sum of w * x * y over the triples (w, x, y) in terms.
+
+    x and y are UPolys; w is a tuple of u-coefficients, so a small weight
+    such as (j,) or (j - k, j) costs no UPoly of its own.
+    """
+    out: list[Fraction] = []
+    for w, x, y in terms:
+        if not x.coeffs or not y.coeffs:
+            continue
+        top = len(w) + len(x.coeffs) + len(y.coeffs) - 2
+        if len(out) < top:
+            out.extend([Fraction(0)] * (top - len(out)))
+        for i, a in enumerate(w):
+            for j, b in enumerate(x.coeffs, i):
+                ab = a * b
+                if not ab:
+                    continue
+                for k, c in enumerate(y.coeffs, j):
+                    out[k] += ab * c
+    return UPoly(out)
+
+
+def _power(f: TruncatedSeries, alpha, order: int | None = None) -> TruncatedSeries:
+    """f^alpha to t^order (default f.order) for f(0) = 1, by Miller's recurrence.
+
+    alpha is a rational or a UPoly.  The coefficients P_k of f^alpha obey
+    k P_k = sum_{j=1..k} (alpha j - k + j) f_j P_{k-j}, since
+    f (f^alpha)' = alpha f' f^alpha.  Each coefficient costs O(k) products,
+    so the whole power costs O(order^2).
+    """
+    n = f.order if order is None else order
+    alpha = alpha if isinstance(alpha, UPoly) else UPoly.const(alpha)
+    a0, rest = alpha.coefficient(0), alpha.coeffs[1:]
+    ps = [UPoly.const(1)]
+    for k in range(1, n + 1):
+        terms = (
+            ((a0 * j + j - k,) + tuple(a * j for a in rest), f.coeffs[j], ps[k - j])
+            for j in range(1, k + 1)
+        )
+        ps.append(_dot(terms) * Fraction(1, k))
+    return TruncatedSeries(n, ps)
+
+
 def series_exp(f: TruncatedSeries) -> TruncatedSeries:
-    """exp(f) for f with zero constant term."""
+    """exp(f) for f with zero constant term.
+
+    E = exp(f) solves E' = f' E, so k E_k = sum_{j=1..k} j f_j E_{k-j}.
+    """
     if not f.constant_term().is_zero():
         raise ValueError("series_exp requires constant term 0")
-    n = f.order
-    result = TruncatedSeries.one(n)
-    power = TruncatedSeries.one(n)
-    for m in range(1, n + 1):
-        power = power * f
-        result = result + power * Fraction(1, factorial(m))
-    return result
+    es = [UPoly.const(1)]
+    for k in range(1, f.order + 1):
+        terms = (((j,), f.coeffs[j], es[k - j]) for j in range(1, k + 1))
+        es.append(_dot(terms) * Fraction(1, k))
+    return TruncatedSeries(f.order, es)
 
 
 def series_log(f: TruncatedSeries) -> TruncatedSeries:
-    """log(f) for f with constant term 1."""
+    """log(f) for f with constant term 1.
+
+    L = log(f) solves f L' = f', so k L_k = k f_k - sum_{j=1..k-1} j L_j f_{k-j}.
+    """
     if f.constant_term() != UPoly.const(1):
         raise ValueError("series_log requires constant term 1")
-    n = f.order
-    g = f - TruncatedSeries.one(n)
-    result = TruncatedSeries.zero(n)
-    power = TruncatedSeries.one(n)
-    for m in range(1, n + 1):
-        power = power * g
-        result = result + power * Fraction((-1) ** (m + 1), m)
-    return result
+    ls = [UPoly.zero()]
+    for k in range(1, f.order + 1):
+        terms = (((j,), ls[j], f.coeffs[k - j]) for j in range(1, k))
+        ls.append(f.coeffs[k] - _dot(terms) * Fraction(1, k))
+    return TruncatedSeries(f.order, ls)
 
 
 def series_pow_u(f: TruncatedSeries) -> TruncatedSeries:
-    """f(t)^u = exp(u * log f) for f with constant term 1 and u-free coefficients."""
+    """f(t)^u for f with constant term 1 and u-free coefficients."""
     if any(not c.is_constant() for c in f.coeffs):
         raise ValueError("series_pow_u requires coefficients constant in u")
-    logf = series_log(f)
-    return series_exp(
-        TruncatedSeries(logf.order, [c.times_u() for c in logf.coeffs])
-    )
+    if f.constant_term() != UPoly.const(1):
+        raise ValueError("series_pow_u requires constant term 1")
+    return _power(f, UPoly.u())
 
 
 def series_inverse(f: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse 1/f for f with constant term 1."""
     if f.constant_term() != UPoly.const(1):
         raise ValueError("series_inverse requires constant term 1")
-    n = f.order
-    inv = [UPoly.zero()] * (n + 1)
-    inv[0] = UPoly.const(1)
-    for m in range(1, n + 1):
-        acc = UPoly.zero()
-        for k in range(1, m + 1):
-            if not f.coeffs[k].is_zero():
-                acc = acc + f.coeffs[k] * inv[m - k]
-        inv[m] = -acc
-    return TruncatedSeries(n, inv)
+    return _power(f, -1)
 
 
 def sine_quotient(order: int) -> TruncatedSeries:
@@ -324,21 +371,19 @@ def sine_quotient(order: int) -> TruncatedSeries:
 def lagrange_invert(q: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse r of q: q(r(t)) = t modulo t^(order+1).
 
-    Requires q(0) = 0 and [t]q = 1.  Coefficients of r are found by
-    back-substitution: once r is correct modulo t^k, the defect of q(r)
-    at t^k is subtracted from r.
+    Requires q(0) = 0 and [t]q = 1.  By the Lagrange inversion formula
+    (Stanley, EC2 Theorem 5.4.2), [t^k] r = (1/k) [t^(k-1)] (q/t)^(-k).
+    Each power comes from Miller's recurrence k P_k = sum_{j=1..k}
+    (alpha j - k + j) f_j P_{k-j} at f = q/t, alpha = -k, taken to t^(k-1)
+    in O(k^2) products (Knuth, TAOCP vol. 2, section 4.7), so the whole
+    inverse costs O(order^3) products.
     """
     if not q.constant_term().is_zero():
         raise ValueError("lagrange_invert requires constant term 0")
     if q.order < 1 or q.coefficient(1) != UPoly.const(1):
         raise ValueError("lagrange_invert requires coefficient of t equal to 1")
-    n = q.order
-    r = TruncatedSeries.t(n)
-    for k in range(2, n + 1):
-        defect = q.compose(r).coefficient(k)
-        if defect.is_zero():
-            continue
-        cs = list(r.coeffs)
-        cs[k] = cs[k] - defect
-        r = TruncatedSeries(n, cs)
-    return r
+    h = q.shift_down()
+    rs = [UPoly.zero()]
+    for k in range(1, q.order + 1):
+        rs.append(_power(h, -k, k - 1).coefficient(k - 1) * Fraction(1, k))
+    return TruncatedSeries(q.order, rs)

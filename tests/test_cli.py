@@ -140,6 +140,24 @@ class TestCount:
             ["count", "sts", "--genus", "0"], "--genus must be >= 1 for sts counts", capsys
         )
 
+    def test_sts_squares_guard(self, capsys):
+        # refused before the census starts, which would run to N = 8 first
+        for squares, message in (
+            ("0", "--max-squares must be >= 1"),
+            ("-1", "--max-squares must be >= 1"),
+            ("9", "--max-squares is capped at 8"),
+        ):
+            assert_refused(
+                ["count", "sts", "--genus", "2", "--max-squares", squares], message, capsys
+            )
+
+    def test_empty_perimeter_part(self, capsys):
+        assert_refused(
+            ["count", "trees", "--black-perimeters", ",", "--white-perimeters", "1"],
+            "--black-perimeters must be comma-separated integers",
+            capsys,
+        )
+
     def test_module_guard_propagates_as_failure(self):
         code, _ = run_cli(
             [
@@ -177,6 +195,18 @@ class TestVerify:
             assert_refused(
                 ["verify", suite, "--max-squares", "12"], "--max-squares is capped at 8", capsys
             )
+
+    def test_oracle_sts_squares_below_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            volumes, "verify_bivariate_relation", lambda g: pytest.fail("suite ran")
+        )
+        for suite in ("oracle-sts", "all"):
+            for squares in ("0", "-1"):
+                assert_refused(
+                    ["verify", suite, "--max-squares", squares],
+                    "--max-squares must be >= 1",
+                    capsys,
+                )
 
     def test_failed_identity_exits_one(self, monkeypatch):
         monkeypatch.setattr(volumes, "verify_bivariate_relation", lambda g: False)

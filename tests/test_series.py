@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -25,6 +26,67 @@ def random_series(rng, order, constant, u_free=True):
                 UPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)])
             )
     return TruncatedSeries(order, coeffs)
+
+
+# The algorithms the recurrences in stratavol.series replaced, kept here as
+# references only: power sums for exp and log, exp(u log f) for f^u, the
+# convolution loop for 1/f and back-substitution for the compositional
+# inverse.
+
+
+def reference_exp(f):
+    n = f.order
+    result = TruncatedSeries.one(n)
+    power = TruncatedSeries.one(n)
+    for m in range(1, n + 1):
+        power = power * f
+        result = result + power * Fraction(1, factorial(m))
+    return result
+
+
+def reference_log(f):
+    n = f.order
+    g = f - TruncatedSeries.one(n)
+    result = TruncatedSeries.zero(n)
+    power = TruncatedSeries.one(n)
+    for m in range(1, n + 1):
+        power = power * g
+        result = result + power * Fraction((-1) ** (m + 1), m)
+    return result
+
+
+def reference_pow_u(f):
+    logf = reference_log(f)
+    return reference_exp(TruncatedSeries(logf.order, [UPoly.u() * c for c in logf.coeffs]))
+
+
+def reference_inverse(f):
+    n = f.order
+    inv = [UPoly.const(1)]
+    for m in range(1, n + 1):
+        acc = UPoly.zero()
+        for k in range(1, m + 1):
+            acc = acc + f.coeffs[k] * inv[m - k]
+        inv.append(-acc)
+    return TruncatedSeries(n, inv)
+
+
+def reference_lagrange_invert(q):
+    """Back-substitution: once r is right modulo t^k, subtract the defect of q(r) at t^k."""
+    n = q.order
+    r = TruncatedSeries.t(n)
+    for k in range(2, n + 1):
+        cs = list(r.coeffs)
+        cs[k] = cs[k] - q.compose(r).coefficient(k)
+        r = TruncatedSeries(n, cs)
+    return r
+
+
+def at_u(f, m):
+    """f with u set to the integer m."""
+    return TruncatedSeries(
+        f.order, [sum(c * m**i for i, c in enumerate(p.coeffs)) for p in f.coeffs]
+    )
 
 
 class TestUPoly:
@@ -97,6 +159,14 @@ class TestPowU:
         with pytest.raises(ValueError):
             series_pow_u(f)
 
+    def test_rejects_constant_term_other_than_one(self):
+        for constant in (0, 2):
+            f = TruncatedSeries.from_dict(3, {0: constant, 2: 1})
+            with pytest.raises(ValueError):
+                series_pow_u(f)
+            with pytest.raises(ValueError):
+                series_inverse(f)
+
 
 class TestSineQuotient:
     def test_low_coefficients(self):
@@ -142,3 +212,52 @@ class TestLagrangeInvert:
             lagrange_invert(TruncatedSeries.one(4))
         with pytest.raises(ValueError):
             lagrange_invert(TruncatedSeries.from_dict(4, {1: 2}))
+
+
+class TestAgainstReferences:
+    """The recurrences equal the algorithms they replaced, exactly."""
+
+    ORDERS = (1, 2, 3, 5, 8, 12)
+
+    def test_exp_log_inverse_u_dependent(self):
+        rng = random.Random(4711)
+        for order in self.ORDERS:
+            f = random_series(rng, order, constant=0, u_free=False)
+            one_plus_f = TruncatedSeries.one(order) + f
+            assert series_exp(f) == reference_exp(f)
+            assert series_log(one_plus_f) == reference_log(one_plus_f)
+            assert series_inverse(one_plus_f) == reference_inverse(one_plus_f)
+
+    def test_pow_u(self):
+        rng = random.Random(4712)
+        for order in self.ORDERS:
+            f = random_series(rng, order, constant=1)
+            assert series_pow_u(f) == reference_pow_u(f)
+
+    def test_lagrange_invert_u_dependent(self):
+        rng = random.Random(4713)
+        for order in self.ORDERS:
+            f = random_series(rng, order, constant=0, u_free=False)
+            q = TruncatedSeries(order, [UPoly.zero(), UPoly.const(1)] + list(f.coeffs[2:]))
+            assert lagrange_invert(q) == reference_lagrange_invert(q)
+
+    def test_pow_u_at_integer_u_is_repeated_product(self):
+        rng = random.Random(4714)
+        f = random_series(rng, 10, constant=1)
+        powu = series_pow_u(f)
+        power = TruncatedSeries.one(10)
+        for m in range(5):
+            assert at_u(powu, m) == power
+            power = power * f
+
+    def test_compose_undoes_inverse_at_order_30(self):
+        # u enters at every fourth power of t, so the u-degree of the inverse
+        # grows like order / 3 and the Horner check stays under two seconds.
+        rng = random.Random(4715)
+        coeffs = [UPoly.zero(), UPoly.const(1)] + [
+            UPoly((rng.randint(-3, 3), rng.randint(-3, 3) if k % 4 == 0 else 0))
+            for k in range(2, 31)
+        ]
+        q = TruncatedSeries(30, coeffs)
+        assert any(not c.is_constant() for c in q.coeffs)
+        assert q.compose(lagrange_invert(q)) == TruncatedSeries.t(30)

@@ -94,6 +94,9 @@ class TestInverseRoute:
     def test_agreement_with_table_route(self):
         assert c_series_inverse_route(8) == c_series(8)
 
+    def test_agreement_at_benchmark_order(self):
+        assert c_series_inverse_route(20) == c_series(20)
+
 
 class TestBivariateRelation:
     def test_trivial(self):
