@@ -32,6 +32,9 @@ from .scalars import format_rational
 GMAX_LIMIT = 10
 WEIGHT_LIMIT = 20
 ORDER_LIMIT = 20
+# Lattice points `count ribbon` may visit: each graph class scans at most
+# max(perimeter)^(2g) values of its 2g free edges.
+RIBBON_WORK_LIMIT = 10**6
 
 VERIFY_SUITES = ("bivariate", "multivariate", "walls", "oracle-p", "oracle-sts", "all")
 
@@ -112,6 +115,16 @@ def _parse_perimeters(text: str | None, flag: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated integers") from None
     return values
+
+
+def _check_ribbon_work(genus: int, black: tuple[int, ...], white: tuple[int, ...]) -> None:
+    classes = len(ribbon.enumerate_graphs(genus, len(black), len(white)))
+    work = classes * max(1, *black, *white) ** (2 * genus)
+    if work > RIBBON_WORK_LIMIT:
+        raise ValueError(
+            f"count ribbon would visit up to {work} lattice points; "
+            f"the cap is {RIBBON_WORK_LIMIT}"
+        )
 
 
 def _check_max_squares(n: int) -> None:
@@ -222,6 +235,7 @@ def cmd_count(args, out) -> int:
     white = _parse_perimeters(args.white_perimeters, "--white-perimeters")
     point = PerimeterPair(black, white)
     if args.kind == "ribbon":
+        _check_ribbon_work(args.genus, black, white)
         value = ribbon.counting_function(args.genus, len(black), len(white), point)
         print(format_rational(value), file=out)
     else:

@@ -45,7 +45,6 @@ from .pnum import p_bw_value
 __all__ = [
     "RibbonGraph",
     "PerimeterPair",
-    "EdgeForm",
     "Wall",
     "enumerate_graphs",
     "count_metrics",
@@ -60,6 +59,15 @@ __all__ = [
 ]
 
 MAX_EDGES = 8
+
+# A linear form on H_{k,l}, written (blacks, whites): 0-based index tuples
+# standing for sum_{i in blacks} L_{i+1} - sum_{j in whites} L'_{j+1}.
+Form = tuple[tuple[int, ...], tuple[int, ...]]
+
+# Wall sampling: the largest block total drawn, and the draws allowed
+# before giving up on a point of the open wall.
+SAMPLE_MAX = 10**6
+SAMPLE_TRIES = 500
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,6 @@ class PerimeterPair:
     def is_balanced(self) -> bool:
         return sum(self.black) == sum(self.white)
 
-    def all_positive(self) -> bool:
-        return all(x > 0 for x in self.black) and all(x > 0 for x in self.white)
-
     def scale(self, c) -> "PerimeterPair":
         return PerimeterPair(
             tuple(c * x for x in self.black), tuple(c * x for x in self.white)
@@ -131,77 +136,67 @@ class PerimeterPair:
 
 
 @dataclass(frozen=True)
-class EdgeForm:
-    """The linear function sum_{i in I} L_i - sum_{j in J} L'_j on H_{k,l}."""
+class Wall:
+    """The block wall W^b_w of H_{k,l}.
 
-    black: frozenset[int]
-    white: frozenset[int]
-    k: int
-    l: int
+    The black vertices 1..k are cut into consecutive blocks of the sizes in
+    ``black_blocks`` and the white vertices 1..l into consecutive blocks of
+    the sizes in ``white_blocks``; the wall is the locus where every black
+    block has the same perimeter sum as the white block of the same index.
+    A single block gives all of H_{k,l}.
+    """
+
+    black_blocks: tuple[int, ...]
+    white_blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "black", frozenset(self.black))
-        object.__setattr__(self, "white", frozenset(self.white))
-        if not self.black and not self.white:
-            raise ValueError("(I, J) must not both be empty")
-        if len(self.black) == self.k and len(self.white) == self.l:
-            raise ValueError("(I^c, J^c) must not both be empty")
+        if len(self.black_blocks) != len(self.white_blocks):
+            raise ValueError("b and w must have the same length")
+        if not self.black_blocks:
+            raise ValueError("a wall needs at least one block")
+        if any(x < 1 for x in self.black_blocks + self.white_blocks):
+            raise ValueError("block sizes must be >= 1")
 
-    def evaluate(self, p: PerimeterPair):
-        return sum(p.black[i - 1] for i in self.black) - sum(
-            p.white[j - 1] for j in self.white
-        )
+    @property
+    def k(self) -> int:
+        return sum(self.black_blocks)
 
-    def vector(self) -> tuple[int, ...]:
-        """Coefficients against coordinates (L_1..L_k, L'_1..L'_l)."""
-        vec = [0] * (self.k + self.l)
-        for i in self.black:
-            vec[i - 1] = 1
-        for j in self.white:
-            vec[self.k + j - 1] = -1
-        return tuple(vec)
-
-
-@dataclass(frozen=True)
-class Wall:
-    """Intersection of walls of H_{k,l}: the locus where the equations vanish."""
-
-    k: int
-    l: int
-    equations: tuple[EdgeForm, ...]
+    @property
+    def l(self) -> int:
+        return sum(self.white_blocks)
 
     @staticmethod
     def full_space(k: int, l: int) -> "Wall":
-        return Wall(k, l, ())
+        return Wall((k,), (l,))
 
     @staticmethod
     def partition_wall(b: tuple[int, ...], w: tuple[int, ...]) -> "Wall":
-        """The block wall with consecutive black blocks b and white blocks w.
-
-        For a single block the equation coincides with the ambient balance
-        relation, so the wall is all of H_{k,l}.
-        """
-        if len(b) != len(w):
-            raise ValueError("b and w must have the same length")
-        if any(x < 1 for x in b) or any(x < 1 for x in w):
-            raise ValueError("block sizes must be >= 1")
-        k, l = sum(b), sum(w)
-        if len(b) == 1:
-            return Wall.full_space(k, l)
-        equations = []
-        b_start = w_start = 0
-        for bi, wi in zip(b, w):
-            blacks = frozenset(range(b_start + 1, b_start + bi + 1))
-            whites = frozenset(range(w_start + 1, w_start + wi + 1))
-            equations.append(EdgeForm(blacks, whites, k, l))
-            b_start += bi
-            w_start += wi
-        return Wall(k, l, tuple(equations))
+        """The block wall with consecutive black blocks b and white blocks w."""
+        return Wall(tuple(b), tuple(w))
 
     @staticmethod
     def diagonal(n: int) -> "Wall":
         """V_n = {L_1 = L'_1, .., L_n = L'_n} inside H_{n,n}."""
-        return Wall.partition_wall((1,) * n, (1,) * n)
+        return Wall((1,) * n, (1,) * n)
+
+    def implies(self, form: Form) -> bool:
+        """Whether the form vanishes on the whole wall.
+
+        The wall is cut out by the block equations, so a 0/1/-1 form
+        vanishes on it iff it is a sum of block equations: iff each block
+        lies, black and white indices alike, wholly inside the form or
+        wholly outside it.
+        """
+        blacks, whites = form
+        b_start = w_start = 0
+        for bi, wi in zip(self.black_blocks, self.white_blocks):
+            inside = {i in blacks for i in range(b_start, b_start + bi)}
+            inside.update(j in whites for j in range(w_start, w_start + wi))
+            if len(inside) > 1:
+                return False
+            b_start += bi
+            w_start += wi
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +350,7 @@ def _split_form(
     removed: int,
     k: int,
     l: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> Form:
     """Bridge form of a tree edge: labels on the black-endpoint side.
 
     Returns (black indices 0-based, white indices 0-based) of the component
@@ -380,6 +375,11 @@ def _split_form(
     blacks = tuple(sorted(v for v in component if v < k))
     whites = tuple(sorted(v - k for v in component if v >= k))
     return blacks, whites
+
+
+def _form_value(form: Form, p: PerimeterPair):
+    blacks, whites = form
+    return sum(p.black[i] for i in blacks) - sum(p.white[j] for j in whites)
 
 
 def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
@@ -455,16 +455,12 @@ def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
     if not p.is_balanced():
         raise ValueError("perimeters must balance: sum L = sum L'")
     _, tree_edges, _, tree_forms = _spanning_tree(tree)
-    order = {e: i for i, e in enumerate(tree_edges)}
-    values = [None] * tree.num_edges
-    for e in range(tree.num_edges):
-        bset, wset = tree_forms[order[e]]
-        values[e] = sum(p.black[i] for i in bset) - sum(p.white[j] for j in wset)
-    return tuple(values)
+    forms = dict(zip(tree_edges, tree_forms))
+    return tuple(_form_value(forms[e], p) for e in range(tree.num_edges))
 
 
 @cache
-def _tree_forms(k: int, l: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+def _tree_forms(k: int, l: int) -> list[list[Form]]:
     return [_spanning_tree(graph)[3] for graph, _ in enumerate_graphs(0, k, l)]
 
 
@@ -491,90 +487,51 @@ def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _all_forms(k: int, l: int) -> list[EdgeForm]:
+@cache
+def _all_forms(k: int, l: int) -> tuple[Form, ...]:
+    """Every form (blacks, whites) on H_{k,l} but the empty and the full one."""
     out = []
     for bmask in range(2**k):
-        blacks = frozenset(i + 1 for i in range(k) if bmask >> i & 1)
+        blacks = tuple(i for i in range(k) if bmask >> i & 1)
         for wmask in range(2**l):
-            whites = frozenset(j + 1 for j in range(l) if wmask >> j & 1)
-            if not blacks and not whites:
-                continue
-            if len(blacks) == k and len(whites) == l:
-                continue
-            out.append(EdgeForm(blacks, whites, k, l))
-    return out
+            whites = tuple(j for j in range(l) if wmask >> j & 1)
+            if (blacks or whites) and (len(blacks), len(whites)) != (k, l):
+                out.append((blacks, whites))
+    return tuple(out)
 
 
-def _rref(rows: list[tuple]) -> list[list[Fraction]]:
-    """Reduced row-echelon form over the rationals; zero rows dropped."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]]
+def _open_wall_forms(wall: Wall) -> list[Form]:
+    """The forms the wall does not imply: none vanishes at a point of its open part."""
+    return [form for form in _all_forms(wall.k, wall.l) if not wall.implies(form)]
 
 
-def _reduce_against(vec: list[Fraction], rref_rows: list[list[Fraction]]) -> list[Fraction]:
-    v = list(vec)
-    for row in rref_rows:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
-        if v[pivot] != 0:
-            factor = v[pivot]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return v
+def _random_parts(rng: random.Random, total: int, n: int) -> list[int]:
+    """total split into n positive parts at n - 1 distinct random cuts."""
+    cuts = [0] + sorted(rng.sample(range(1, total), n - 1)) + [total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def wall_sample_point(wall: Wall, seed: int = 0, retries: int = 500) -> PerimeterPair:
-    """A positive rational point in the open part of the wall.
+def wall_sample_point(wall: Wall, seed: int = 0) -> PerimeterPair:
+    """A positive integer point in the open part of the wall.
 
-    The wall's equations (plus the ambient balance relation) are put in
-    reduced row-echelon form; free coordinates are drawn as integers in
-    [1, 10^6] and pivots solved, rejecting draws that leave the positive
-    cone or that accidentally annihilate a form not implied by the wall.
-    Deterministic for a given seed.
+    Each block draws a total T in [max(b_i, w_i), SAMPLE_MAX] and splits it
+    into b_i black and w_i white positive parts at random cuts, so the
+    point lies on the wall; draws on which a form the wall does not imply
+    vanishes are rejected.  Deterministic for a given seed.
     """
-    k, l = wall.k, wall.l
-    d = k + l
-    balance = tuple([1] * k + [-1] * l)
-    rows = [balance] + [eq.vector() for eq in wall.equations]
-    rref = _rref(rows)
-    pivot_cols = [next(i for i, x in enumerate(row) if x != 0) for row in rref]
-    free_cols = [c for c in range(d) if c not in pivot_cols]
-    forms = _all_forms(k, l)
-    implied = [
-        all(x == 0 for x in _reduce_against(list(f.vector()), rref)) for f in forms
-    ]
-
+    forms = _open_wall_forms(wall)
     rng = random.Random(seed)
-    for _ in range(retries):
-        x: list[Fraction] = [Fraction(0)] * d
-        for c in free_cols:
-            x[c] = Fraction(rng.randint(1, 10**6))
-        for row, pc in zip(reversed(rref), reversed(pivot_cols)):
-            x[pc] = -sum(row[c] * x[c] for c in range(d) if c != pc)
-        if any(v <= 0 for v in x):
-            continue
-        point = PerimeterPair(tuple(x[:k]), tuple(x[k:]))
-        if all(
-            implied[i] or forms[i].evaluate(point) != 0 for i in range(len(forms))
-        ):
+    for _ in range(SAMPLE_TRIES):
+        black: list[int] = []
+        white: list[int] = []
+        for bi, wi in zip(wall.black_blocks, wall.white_blocks):
+            total = rng.randint(max(bi, wi), SAMPLE_MAX)
+            black += _random_parts(rng, total, bi)
+            white += _random_parts(rng, total, wi)
+        point = PerimeterPair(tuple(black), tuple(white))
+        if all(_form_value(form, point) for form in forms):
             return point
-    raise ValueError("wall admits no positive sample point (retries exhausted)")
+    raise ValueError(f"no point of the open wall in {SAMPLE_TRIES} draws")
 
 
 def p0_oracle(b: tuple[int, ...], w: tuple[int, ...], seed: int = 0) -> int:
@@ -586,7 +543,7 @@ def p0_oracle(b: tuple[int, ...], w: tuple[int, ...], seed: int = 0) -> int:
     k, l = sum(b), sum(w)
     if k > 4 or l > 4:
         raise ValueError("oracle bound: sum(b) <= 4 and sum(w) <= 4")
-    wall = Wall.partition_wall(tuple(b), tuple(w))
+    wall = Wall.partition_wall(b, w)
     point = wall_sample_point(wall, seed=seed)
     return count_positive_trees(k, l, point)
 
@@ -653,19 +610,16 @@ def fit_ray_polynomial(
 
 
 def _sign_pattern(k: int, l: int, p: PerimeterPair) -> tuple[int, ...]:
-    out = []
-    for form in _all_forms(k, l):
-        v = form.evaluate(p)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
+    values = (_form_value(form, p) for form in _all_forms(k, l))
+    return tuple((v > 0) - (v < 0) for v in values)
 
 
-def verify_wall_constancy(n_cells: int = 4) -> bool:
+def verify_wall_constancy() -> bool:
     """Constancy of the positive-tree count across open cells.
 
     Checks, for k = l <= 3, that points of distinct top-dimensional cells
     of H^+ all give (k + l - 2)! positive trees, and that points of at
-    least ``n_cells`` distinct open cells of H^+ intersected with the open
+    least four distinct open cells of H^+ intersected with the open
     diagonal wall V_3 all give the same count p_{2,2,2} = 11 (similarly
     V_2 and p_{2,2} = 1).
     """
@@ -681,23 +635,18 @@ def verify_wall_constancy(n_cells: int = 4) -> bool:
             return False
 
     # H^+ of V_2 has exactly two open cells (only sign(L_1 - L_2) varies);
-    # V_3 has enough cells to meet the requested count.
+    # V_3 has at least four.
     for n, required, lengths_pool in (
         (2, 2, [(5, 1), (1, 5), (2, 7), (9, 4)]),
-        (3, n_cells, [(1, 2, 4), (2, 3, 4), (4, 2, 1), (3, 4, 2), (1, 4, 2), (4, 3, 2)]),
+        (3, 4, [(1, 2, 4), (2, 3, 4), (4, 2, 1), (3, 4, 2), (1, 4, 2), (4, 3, 2)]),
     ):
-        wall = Wall.diagonal(n)
-        balance = tuple([1] * n + [-1] * n)
-        rref = _rref([balance] + [eq.vector() for eq in wall.equations])
+        forms = _open_wall_forms(Wall.diagonal(n))
         expected = p_bw_value((1,) * n, (1,) * n)
         patterns = set()
         for lengths in lengths_pool:
             point = PerimeterPair(lengths, lengths)
-            for form in _all_forms(n, n):
-                if form.evaluate(point) == 0 and any(
-                    x != 0 for x in _reduce_against(list(form.vector()), rref)
-                ):
-                    raise ValueError(f"cell point {lengths} is not in the open wall")
+            if not all(_form_value(form, point) for form in forms):
+                raise ValueError(f"cell point {lengths} is not in the open wall")
             patterns.add(_sign_pattern(n, n, point))
             if count_positive_trees(n, n, point) != expected:
                 return False

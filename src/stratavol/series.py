@@ -209,16 +209,11 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            out = [UPoly.zero()] * (n + 1)
-            for i in range(n + 1):
-                a = self.coeffs[i]
-                if a.is_zero():
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(n, out)
+            a, b = self.coeffs, other.coeffs
+            return TruncatedSeries(
+                n,
+                [_dot(((1,), a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)],
+            )
         return TruncatedSeries(self.order, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__

@@ -245,8 +245,11 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
         gens = centralizer_generators(sh)
         if not gens:
             gens = [identity(n_squares)]
-        while candidates:
-            start = min(candidates)
+        for start in sorted(candidates):
+            if start not in candidates:
+                continue
+            # Every smaller candidate lies in an orbit already found, so
+            # start is the smallest element of its own orbit.
             orbit = {start}
             frontier = [start]
             while frontier:
@@ -262,7 +265,7 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
             aut, remainder = divmod(z_order, len(orbit))
             if remainder:
                 raise AssertionError("orbit size does not divide the centralizer order")
-            out.append((SquareTiledSurface(sh, min(orbit)), aut))
+            out.append((SquareTiledSurface(sh, start), aut))
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
 

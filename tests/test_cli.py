@@ -4,7 +4,7 @@ import json
 import pytest
 
 from stratavol import volumes
-from stratavol.cli import main
+from stratavol.cli import _check_ribbon_work, main
 from stratavol.permutation import partitions
 from stratavol.pnum import p_value
 
@@ -134,6 +134,21 @@ class TestCount:
             "--white-perimeters is required for this count",
             capsys,
         )
+
+    def test_ribbon_work_guard(self, capsys):
+        # 4 graph classes at g = 2 times 60^4 lattice points each
+        assert_refused(
+            ["count", "ribbon", "--genus", "2", "--black-perimeters", "60",
+             "--white-perimeters", "60"],
+            "count ribbon would visit up to 51840000 lattice points; the cap is 1000000",
+            capsys,
+        )
+
+    def test_ribbon_benchmark_inputs_within_budget(self):
+        # the benchmark's g = 2 point at perimeter 20 (4 * 20^4 = 640,000) and
+        # the worst of its g = 1, k = l = 2 points, whose parts sum to 24
+        _check_ribbon_work(2, (20,), (20,))
+        _check_ribbon_work(1, (23, 1), (1, 23))
 
     def test_sts_genus_guard(self, capsys):
         assert_refused(

@@ -3,9 +3,8 @@ from math import comb, factorial
 
 import pytest
 
-from stratavol.pnum import p_value, pgvn_polynomial
+from stratavol.pnum import compositions, p_value, pgvn_polynomial
 from stratavol.ribbon import (
-    EdgeForm,
     PerimeterPair,
     Wall,
     count_metrics,
@@ -18,7 +17,79 @@ from stratavol.ribbon import (
     verify_wall_constancy,
     wall_sample_point,
 )
-from stratavol.ribbon import _sign_pattern
+from stratavol.ribbon import _all_forms, _sign_pattern
+
+
+def block_walls(max_size=4):
+    """Every block wall with k, l <= max_size."""
+    return [
+        Wall(b, w)
+        for k in range(1, max_size + 1)
+        for l in range(1, max_size + 1)
+        for n in range(1, min(k, l) + 1)
+        for b in compositions(k, n)
+        for w in compositions(l, n)
+    ]
+
+
+def block_sums(blocks, values):
+    sums, start = [], 0
+    for size in blocks:
+        sums.append(sum(values[start:start + size]))
+        start += size
+    return sums
+
+
+# The rational row reduction that Wall.implies replaced, kept here as the
+# reference only: a form vanishes on the wall iff its coefficient vector
+# reduces to zero against the balance relation and the block equations.
+
+
+def reference_rref(rows):
+    """Reduced row-echelon form over the rationals; zero rows dropped."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r]
+
+
+def reference_implies(wall, form):
+    k, l = wall.k, wall.l
+
+    def vector(blacks, whites):
+        vec = [0] * (k + l)
+        for i in blacks:
+            vec[i] = 1
+        for j in whites:
+            vec[k + j] = -1
+        return vec
+
+    rows = [vector(range(k), range(l))]
+    b_start = w_start = 0
+    for bi, wi in zip(wall.black_blocks, wall.white_blocks):
+        rows.append(vector(range(b_start, b_start + bi), range(w_start, w_start + wi)))
+        b_start += bi
+        w_start += wi
+    v = vector(*form)
+    for row in reference_rref(rows):
+        pivot = next(i for i, x in enumerate(row) if x != 0)
+        if v[pivot] != 0:
+            factor = v[pivot]
+            v = [a - factor * b for a, b in zip(v, row)]
+    return all(x == 0 for x in v)
 
 
 class TestEnumeration:
@@ -189,7 +260,7 @@ class TestWallSampling:
     def test_diagonal_membership(self):
         point = wall_sample_point(Wall.diagonal(3), seed=2)
         assert point.black == point.white
-        assert point.all_positive()
+        assert all(x > 0 for x in point.black)
 
     def test_full_space(self):
         point = wall_sample_point(Wall.full_space(1, 1), seed=0)
@@ -198,15 +269,40 @@ class TestWallSampling:
     def test_block_wall_membership(self):
         wall = Wall.partition_wall((2, 1), (1, 2))
         point = wall_sample_point(wall, seed=4)
-        assert point.all_positive()
-        for equation in wall.equations:
-            assert equation.evaluate(point) == 0
+        assert all(x > 0 for x in point.black + point.white)
+        assert block_sums((2, 1), point.black) == block_sums((1, 2), point.white)
 
-    def test_impossible_wall_errors(self):
-        # the form L_1 = 0 admits no positive point
-        wall = Wall(2, 1, (EdgeForm(frozenset({1}), frozenset(), 2, 1),))
+    def test_malformed_blocks_rejected(self):
+        for b, w in [((1, 2), (3,)), ((2, 0), (1, 1)), ((2,), (-1,)), ((), ())]:
+            with pytest.raises(ValueError):
+                Wall.partition_wall(b, w)
         with pytest.raises(ValueError):
-            wall_sample_point(wall, seed=0, retries=50)
+            Wall.full_space(0, 2)
+
+    def test_implies_matches_row_reduction(self):
+        pairs = 0
+        for wall in block_walls():
+            for form in _all_forms(wall.k, wall.l):
+                assert wall.implies(form) == reference_implies(wall, form), (wall, form)
+                pairs += 1
+        assert pairs == 8778
+
+    def test_sampled_points_are_generic_integers(self):
+        walls = block_walls()
+        assert len(walls) == 69
+        for wall in walls:
+            for seed in range(5):
+                point = wall_sample_point(wall, seed=seed)
+                values = point.black + point.white
+                assert all(type(x) is int and x > 0 for x in values)
+                assert block_sums(wall.black_blocks, point.black) == block_sums(
+                    wall.white_blocks, point.white
+                )
+                for blacks, whites in _all_forms(wall.k, wall.l):
+                    value = sum(point.black[i] for i in blacks) - sum(
+                        point.white[j] for j in whites
+                    )
+                    assert (value == 0) == wall.implies((blacks, whites))
 
     def test_sign_pattern_stable_along_rays(self):
         point = wall_sample_point(Wall.diagonal(2), seed=3)

@@ -82,6 +82,21 @@ def reference_lagrange_invert(q):
     return r
 
 
+def reference_mul(f, g):
+    """The product loop that the _dot kernel replaced: one UPoly sum per term."""
+    n = min(f.order, g.order)
+    out = [UPoly.zero()] * (n + 1)
+    for i in range(n + 1):
+        a = f.coeffs[i]
+        if a.is_zero():
+            continue
+        for j in range(n + 1 - i):
+            b = g.coeffs[j]
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return TruncatedSeries(n, out)
+
+
 def at_u(f, m):
     """f with u set to the integer m."""
     return TruncatedSeries(
@@ -227,6 +242,15 @@ class TestAgainstReferences:
             assert series_exp(f) == reference_exp(f)
             assert series_log(one_plus_f) == reference_log(one_plus_f)
             assert series_inverse(one_plus_f) == reference_inverse(one_plus_f)
+
+    def test_product_u_dependent(self):
+        rng = random.Random(4715)
+        for order in self.ORDERS:
+            f = random_series(rng, order, constant=rng.randint(-3, 3), u_free=False)
+            g = random_series(rng, order + 2, constant=0, u_free=False)
+            sparse = TruncatedSeries.from_dict(order, {1: UPoly.u(), order: 3})
+            for x, y in [(f, g), (g, f), (f, f), (sparse, g)]:
+                assert x * y == reference_mul(x, y)
 
     def test_pow_u(self):
         rng = random.Random(4712)

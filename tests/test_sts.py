@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from stratavol.permutation import centralizer_elements, centralizer_order, conjugate, cycle_type
 from stratavol.sts import (
     SquareTiledSurface,
     census,
@@ -86,6 +87,14 @@ class TestEnumeration:
         # a translation fixing the single cone point is the identity
         for n_squares in range(3, 7):
             assert all(aut == 1 for _, aut in enumerate_sts(2, n_squares))
+
+    @pytest.mark.parametrize("g, n_squares", [(1, 4), (1, 6), (2, 5), (3, 6)])
+    def test_representative_is_orbit_minimum(self, g, n_squares):
+        for surface, aut in enumerate_sts(g, n_squares):
+            sh, sv = surface.sigma_h, surface.sigma_v
+            orbit = {conjugate(z, sv) for z in centralizer_elements(sh)}
+            assert sv == min(orbit)
+            assert len(orbit) * aut == centralizer_order(cycle_type(sh))
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("n_squares", [3, 4, 5])
