@@ -75,6 +75,23 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
+def conjugator(p: Perm, q: Perm) -> Perm:
+    """A permutation pi with pi o p o pi^{-1} = q.
+
+    The cycles of p, taken in order of length, are mapped element by
+    element onto the cycles of q of the same length.
+    """
+    p_cycles = sorted(cycles(p), key=len)
+    q_cycles = sorted(cycles(q), key=len)
+    if [len(c) for c in p_cycles] != [len(c) for c in q_cycles]:
+        raise ValueError("p and q must have the same cycle type")
+    pi = [0] * len(p)
+    for p_cyc, q_cyc in zip(p_cycles, q_cycles):
+        for a, b in zip(p_cyc, q_cyc):
+            pi[a] = b
+    return tuple(pi)
+
+
 def is_transitive(p: Perm, q: Perm) -> bool:
     """Does the group generated by p and q act transitively on {0,..,n-1}?"""
     n = len(p)

@@ -435,7 +435,16 @@ def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
 
 
 def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
-    """Automorphism-weighted metric count over the whole (g, k, l) family."""
+    """Automorphism-weighted metric count over the whole (g, k, l) family.
+
+    An unbalanced point, or one with a perimeter below 1, admits no
+    positive metric on any graph, so it gives 0 before the family is
+    enumerated.
+    """
+    if len(p.black) != k or len(p.white) != l:
+        raise ValueError("perimeter arity does not match the graph")
+    if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
+        return Fraction(0)
     total = Fraction(0)
     for graph, aut in enumerate_graphs(g, k, l):
         n = count_metrics(graph, p)

@@ -5,6 +5,15 @@ A surface with N unit squares is a pair of permutations of {0,..,N-1}:
 upper neighbor.  The pair must act transitively (connected surface).
 Surfaces are counted up to simultaneous conjugation (square relabeling).
 
+Enumeration: sigma_h runs over one permutation per cycle type.  For
+g >= 2 the condition [sigma_v, sigma_h] = c, c a (2g-1)-cycle, is the
+same as sigma_v sigma_h sigma_v^{-1} = c sigma_h.  So sigma_v is built,
+never searched for: for every (2g-1)-cycle c with c sigma_h of the cycle
+type of sigma_h, the solutions form the coset pi_0 Z(sigma_h), where
+pi_0 is any permutation conjugating sigma_h to c sigma_h, and the
+transitive members of that coset are the surfaces.  For g = 1 they are
+the transitive members of Z(sigma_h) itself.
+
 The vertex permutation acts on bottom-left corners: rotating a full turn
 counterclockwise around the corner of square x visits the squares
 
@@ -30,15 +39,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations as _all_perms
 from math import factorial
+from typing import Iterator
 
 from .permutation import (
     Perm,
     centralizer_elements,
     centralizer_generators,
     centralizer_order,
+    compose,
     conjugate,
+    conjugator,
+    cycle_type,
     cycles,
     from_cycle_type,
     identity,
@@ -78,9 +90,6 @@ class SquareTiledSurface:
     def num_squares(self) -> int:
         return len(self.sigma_h)
 
-    def is_connected(self) -> bool:
-        return is_transitive(self.sigma_h, self.sigma_v)
-
     def vertex_permutation(self) -> Perm:
         """Action on bottom-left corners: sigma_v o sigma_h o sigma_v^-1 o sigma_h^-1."""
         inv_h = inverse(self.sigma_h)
@@ -89,15 +98,6 @@ class SquareTiledSurface:
         return tuple(
             self.sigma_v[self.sigma_h[inv_v[inv_h[x]]]] for x in range(n)
         )
-
-    def euler_consistent(self) -> bool:
-        """V - E + F = 2 - 2g with V = vertex cycles, E = 2N, F = N."""
-        c = self.vertex_permutation()
-        v = len(cycles(c))
-        n = self.num_squares
-        profile = zero_profile(self)
-        genus = (sum(profile) + 2) // 2
-        return v - 2 * n + n == 2 - 2 * genus
 
 
 @dataclass(frozen=True)
@@ -123,36 +123,6 @@ def zero_profile(surface: SquareTiledSurface) -> list[int]:
     c = surface.vertex_permutation()
     profile = sorted(len(cyc) - 1 for cyc in cycles(c) if len(cyc) > 1)
     return profile if profile else [0]
-
-
-def _admissible(sh: Perm, sv: Perm, g: int) -> bool:
-    """Transitive and in the minimal stratum of genus g."""
-    if not is_transitive(sh, sv):
-        return False
-    inv_h = inverse(sh)
-    inv_v = inverse(sv)
-    n = len(sh)
-    # vertex permutation, inline for speed
-    nontrivial = 0
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            length += 1
-            x = sv[sh[inv_v[inv_h[x]]]]
-        if length > 1:
-            if g == 1:
-                return False
-            nontrivial += 1
-            if nontrivial > 1 or length != 2 * g - 1:
-                return False
-    if g == 1:
-        return True
-    return nontrivial == 1
 
 
 def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition:
@@ -213,14 +183,40 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
 # Enumeration up to simultaneous conjugation
 # ---------------------------------------------------------------------------
 
+def _cycles_of_length(n: int, m: int) -> Iterator[Perm]:
+    """Every m-cycle of S_n (m >= 2), each built from its least element."""
+
+    def extend(path: tuple[int, ...]) -> Iterator[Perm]:
+        if len(path) == m:
+            img = list(range(n))
+            for a, b in zip(path, path[1:] + path[:1]):
+                img[a] = b
+            yield tuple(img)
+            return
+        for x in range(path[0] + 1, n):
+            if x not in path:
+                yield from extend(path + (x,))
+
+    for first in range(n - m + 1):
+        yield from extend((first,))
+
+
 @cache
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
     """Conjugacy classes of admissible pairs with exactly n_squares squares.
 
     Returns (representative, |Aut|) with |Aut| the centralizer order of
-    the pair.  sigma_h runs over one representative per cycle type; for
-    each, the admissible sigma_v split into orbits under conjugation by
-    the centralizer of sigma_h, found by closure over its generators.
+    the pair.  sigma_h runs over one representative per cycle type.  For
+    g >= 2 the vertex permutation c must be a (2g-1)-cycle, and
+    sigma_v sigma_h sigma_v^-1 = c sigma_h; so each (2g-1)-cycle c with
+    c sigma_h of the cycle type of sigma_h contributes the transitive
+    members of the coset pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h,
+    c sigma_h), and every other c contributes none.  For g = 1 the
+    candidates are the transitive members of Z(sigma_h).  The candidates
+    split into orbits under conjugation by Z(sigma_h), found by closure
+    over its generators; each orbit is represented by its least element.
+    Every representative's vertex permutation is checked to have the
+    cycle type of the stratum (AssertionError otherwise).
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -229,6 +225,8 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     if n_squares < 2 * g - 1:
         return []
 
+    stratum_type = (2 * g - 1,) + (1,) * (n_squares - 2 * g + 1)
+    vertex_cycles = list(_cycles_of_length(n_squares, 2 * g - 1)) if g > 1 else []
     out: list[tuple[SquareTiledSurface, int]] = []
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
@@ -238,10 +236,21 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
             candidates = {
                 sv for sv in centralizer_elements(sh) if is_transitive(sh, sv)
             }
+        elif sh == identity(n_squares):
+            # sigma_v commutes with the identity: no cone point.
+            continue
         else:
-            candidates = {
-                sv for sv in _all_perms(range(n_squares)) if _admissible(sh, sv, g)
-            }
+            centralizer = list(centralizer_elements(sh))
+            candidates = set()
+            for c in vertex_cycles:
+                target = compose(c, sh)
+                if cycle_type(target) != ctype:
+                    continue
+                pi_0 = conjugator(sh, target)
+                for z in centralizer:
+                    sv = compose(pi_0, z)
+                    if is_transitive(sh, sv):
+                        candidates.add(sv)
         gens = centralizer_generators(sh)
         if not gens:
             gens = [identity(n_squares)]
@@ -265,7 +274,12 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
             aut, remainder = divmod(z_order, len(orbit))
             if remainder:
                 raise AssertionError("orbit size does not divide the centralizer order")
-            out.append((SquareTiledSurface(sh, start), aut))
+            surface = SquareTiledSurface(sh, start)
+            if cycle_type(surface.vertex_permutation()) != stratum_type:
+                raise AssertionError(
+                    f"census class outside the minimal stratum of genus {g}"
+                )
+            out.append((surface, aut))
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
 

@@ -8,6 +8,7 @@ from stratavol.permutation import (
     centralizer_order,
     compose,
     conjugate,
+    conjugator,
     cycle_count,
     cycle_type,
     cycles,
@@ -76,3 +77,18 @@ def test_generators_lie_in_centralizer():
     p = from_cycle_type((3, 2, 2, 1))
     for gen in centralizer_generators(p):
         assert compose(gen, p) == compose(p, gen)
+
+
+def test_conjugator_maps_p_to_q():
+    for ctype in partitions(5):
+        p = from_cycle_type(ctype)
+        for q in permutations(range(5)):
+            if cycle_type(q) == ctype:
+                assert conjugate(conjugator(p, q), p) == q
+
+
+def test_conjugator_rejects_other_cycle_type():
+    with pytest.raises(ValueError):
+        conjugator((1, 2, 0), (1, 0, 2))
+    with pytest.raises(ValueError):
+        conjugator((0, 1), (0, 1, 2))

@@ -17,7 +17,7 @@ from stratavol.ribbon import (
     verify_wall_constancy,
     wall_sample_point,
 )
-from stratavol.ribbon import _all_forms, _sign_pattern
+from stratavol.ribbon import _all_forms, _sign_pattern, _spanning_tree
 
 
 def block_walls(max_size=4):
@@ -208,6 +208,22 @@ class TestCountingFunction:
 
     def test_two_by_two(self):
         assert counting_function(0, 2, 2, PerimeterPair((5, 1), (4, 2))) == 2
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            PerimeterPair((9, 9, 9, 9), (9, 9, 9, 9, 9)),
+            PerimeterPair((0, 9, 9, 9), (9, 9, 9, 9, -9)),
+        ],
+    )
+    def test_infeasible_point_skips_family(self, point):
+        before = (enumerate_graphs.cache_info(), _spanning_tree.cache_info())
+        assert counting_function(0, 4, 5, point) == 0
+        assert (enumerate_graphs.cache_info(), _spanning_tree.cache_info()) == before
+
+    def test_arity_checked_first(self):
+        with pytest.raises(ValueError, match="arity"):
+            counting_function(0, 4, 5, PerimeterPair((9, 9, 9), (9, 9, 9, 9, 9)))
 
 
 class TestTreeWeights:

@@ -1,10 +1,26 @@
+import hashlib
+import io
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from stratavol.permutation import centralizer_elements, centralizer_order, conjugate, cycle_type
+from stratavol import sts
+from stratavol.cli import main
+from stratavol.permutation import (
+    centralizer_elements,
+    centralizer_order,
+    compose,
+    conjugate,
+    conjugator,
+    cycle_type,
+    cycles,
+    from_cycle_type,
+    inverse,
+    is_transitive,
+    partitions,
+)
 from stratavol.sts import (
     SquareTiledSurface,
     census,
@@ -13,30 +29,77 @@ from stratavol.sts import (
     verify_cylinder_formula,
     zero_profile,
 )
-from stratavol.sts import _admissible
+
+# SHA-256 of repr(enumerate_sts(g, 8)), computed by the S_N scan.
+CENSUS_DIGESTS_AT_8 = {
+    2: "3aa79ebf080fba79389e78af38e05cc6d6f41c8c26bbd4b10de3d12dbe2fb661",
+    3: "643dede9ae683cebf9c04e36743c00280cee662d6f29b420d748ed14091d7a8d",
+}
 
 
 def divisor_sum(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
+def is_connected(surface: SquareTiledSurface) -> bool:
+    return is_transitive(surface.sigma_h, surface.sigma_v)
+
+
+def euler_consistent(surface: SquareTiledSurface) -> bool:
+    """V - E + F = 2 - 2g with V = vertex cycles, E = 2N, F = N."""
+    v = len(cycles(surface.vertex_permutation()))
+    n = surface.num_squares
+    genus = (sum(zero_profile(surface)) + 2) // 2
+    return v - 2 * n + n == 2 - 2 * genus
+
+
+def reference_admissible(sh, sv, g: int) -> bool:
+    """Transitive, with vertex permutation of the minimal stratum of genus g."""
+    if not is_transitive(sh, sv):
+        return False
+    c = compose(compose(sv, sh), compose(inverse(sv), inverse(sh)))
+    nontrivial = [len(cyc) for cyc in cycles(c) if len(cyc) > 1]
+    return nontrivial == ([] if g == 1 else [2 * g - 1])
+
+
+def reference_enumerate_sts(g: int, n_squares: int):
+    """The census by scanning every sigma_v in S_N for each sigma_h type.
+
+    Each orbit under Z(sigma_h) is formed from the whole centralizer and
+    represented by its least element.
+    """
+    out = []
+    for ctype in partitions(n_squares):
+        sh = from_cycle_type(ctype)
+        centralizer = list(centralizer_elements(sh))
+        seen = set()
+        for sv in permutations(range(n_squares)):
+            if sv in seen or not reference_admissible(sh, sv, g):
+                continue
+            orbit = {conjugate(z, sv) for z in centralizer}
+            seen |= orbit
+            out.append((SquareTiledSurface(sh, min(orbit)), len(centralizer) // len(orbit)))
+    out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
+    return out
+
+
 class TestSurfaceBasics:
     def test_one_square_torus(self):
         surface = SquareTiledSurface((0,), (0,))
-        assert surface.is_connected()
+        assert is_connected(surface)
         # the marked point of the torus is a regular point: a zero of order 0
         assert zero_profile(surface) == [0]
-        assert surface.euler_consistent()
+        assert euler_consistent(surface)
 
     def test_profile_of_three_square_surface(self):
         # sigma_h = (123), sigma_v = (12) in 1-based cycles
         surface = SquareTiledSurface((1, 2, 0), (1, 0, 2))
         assert zero_profile(surface) == [2]
-        assert surface.euler_consistent()
+        assert euler_consistent(surface)
 
     def test_disconnected_pair_detected(self):
         surface = SquareTiledSurface((1, 0, 2), (0, 1, 2))
-        assert not surface.is_connected()
+        assert not is_connected(surface)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -79,8 +142,9 @@ class TestEnumeration:
 
     def test_all_admissible(self):
         for surface, aut in enumerate_sts(2, 5):
-            assert surface.is_connected()
+            assert is_connected(surface)
             assert zero_profile(surface) == [2]
+            assert euler_consistent(surface)
             assert aut >= 1
 
     def test_genus_two_has_no_automorphisms(self):
@@ -103,12 +167,43 @@ class TestEnumeration:
             1
             for sh in permutations(range(n_squares))
             for sv in permutations(range(n_squares))
-            if _admissible(sh, sv, g)
+            if reference_admissible(sh, sv, g)
         )
         from_classes = sum(
-            factorial(n_squares) // aut for _, aut in enumerate_sts(g, n_squares)
+            factorial(n_squares) // aut
+            for _, aut in reference_enumerate_sts(g, n_squares)
         )
         assert labeled == from_classes
+
+    @pytest.mark.parametrize(
+        "g, n_squares",
+        [(g, n) for g in (2, 3, 4) for n in range(2 * g - 1, 8)],
+    )
+    def test_coset_census_matches_scan(self, g, n_squares):
+        assert enumerate_sts(g, n_squares) == reference_enumerate_sts(g, n_squares)
+
+    @pytest.mark.parametrize("g", sorted(CENSUS_DIGESTS_AT_8))
+    def test_census_at_eight_squares_pinned(self, g):
+        text = repr(enumerate_sts(g, 8))
+        assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS_AT_8[g]
+
+    def test_stratum_check_exits_three(self, monkeypatch, capsys):
+        # pi_0 composed with a sigma_h-moving transposition conjugates sigma_h
+        # to the wrong target, so some classes leave the stratum
+        def wrong_conjugator(p, q):
+            return compose(conjugator(p, q), (1, 0) + tuple(range(2, len(p))))
+
+        monkeypatch.setattr(sts, "conjugator", wrong_conjugator)
+        enumerate_sts.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="minimal stratum of genus 2"):
+                enumerate_sts(2, 5)
+            out = io.StringIO()
+            assert main(["count", "sts", "--genus", "2", "--max-squares", "5"], out=out) == 3
+            assert out.getvalue() == ""
+            assert capsys.readouterr().err.startswith("internal error: census class")
+        finally:
+            enumerate_sts.cache_clear()
 
 
 class TestCensus:
