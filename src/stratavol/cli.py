@@ -32,8 +32,10 @@ from .scalars import format_rational
 GMAX_LIMIT = 10
 WEIGHT_LIMIT = 20
 ORDER_LIMIT = 20
-# Lattice points `count ribbon` may visit: each graph class scans at most
-# max(perimeter)^(2g) values of its 2g free edges.
+# Lattice points `count ribbon` may visit.  Each graph class scans at most
+# max(perimeter)^(2g-1) values of its first 2g - 1 free edges and counts the
+# last one in closed form, so the bound classes * max(perimeter)^(2g) used
+# below is conservative.
 RIBBON_WORK_LIMIT = 10**6
 
 VERIFY_SUITES = ("bivariate", "multivariate", "walls", "oracle-p", "oracle-sts", "all")

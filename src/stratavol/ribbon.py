@@ -21,6 +21,12 @@ isomorphisms between such representatives are exactly conjugations by
 powers of sigma (the centralizer of an E-cycle is the cyclic group it
 generates).  Enumeration therefore scans rho_black over S_E and classifies
 the labeled survivors up to the E rotations, which also yields |Aut|.
+
+A linear form on H_{k,l} with coefficients 0, 1 on the black perimeters and
+0, -1 on the white ones is an ``int`` bit mask over the k + l vertices: bit
+i < k stands for +L_{i+1} and bit k + j for -L'_{j+1}.  ``_form_values(p)``
+lists the value at p of every mask, so each reader takes a form's value by
+indexing that one table.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as _all_perms
+from itertools import product
 from math import factorial
+from operator import mul
 
 from .permutation import (
     Perm,
@@ -59,10 +67,6 @@ __all__ = [
 ]
 
 MAX_EDGES = 8
-
-# A linear form on H_{k,l}, written (blacks, whites): 0-based index tuples
-# standing for sum_{i in blacks} L_{i+1} - sum_{j in whites} L'_{j+1}.
-Form = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Wall sampling: the largest block total drawn, and the draws allowed
 # before giving up on a point of the open wall.
@@ -179,20 +183,18 @@ class Wall:
         """V_n = {L_1 = L'_1, .., L_n = L'_n} inside H_{n,n}."""
         return Wall((1,) * n, (1,) * n)
 
-    def implies(self, form: Form) -> bool:
-        """Whether the form vanishes on the whole wall.
+    def implies(self, form: int) -> bool:
+        """Whether the form (a vertex mask) vanishes on the whole wall.
 
         The wall is cut out by the block equations, so a 0/1/-1 form
-        vanishes on it iff it is a sum of block equations: iff each block
-        lies, black and white indices alike, wholly inside the form or
-        wholly outside it.
+        vanishes on it iff it is a sum of block equations: iff each block's
+        vertex mask, black and white bits alike, lies wholly inside the form
+        or wholly outside it.
         """
-        blacks, whites = form
-        b_start = w_start = 0
+        b_start, w_start = 0, self.k
         for bi, wi in zip(self.black_blocks, self.white_blocks):
-            inside = {i in blacks for i in range(b_start, b_start + bi)}
-            inside.update(j in whites for j in range(w_start, w_start + wi))
-            if len(inside) > 1:
+            block = ((1 << bi) - 1) << b_start | ((1 << wi) - 1) << w_start
+            if form & block not in (0, block):
                 return False
             b_start += bi
             w_start += wi
@@ -309,12 +311,22 @@ def _labeled_classes(
 # ---------------------------------------------------------------------------
 
 
+def _form_values(p: PerimeterPair) -> list:
+    """The value at p of every form on H_{k,l}, indexed by its vertex mask."""
+    values = [0]
+    for x in p.black + tuple(-y for y in p.white):
+        values += [v + x for v in values]
+    return values
+
+
 @cache
 def _spanning_tree(graph: RibbonGraph):
-    """Spanning-tree data for fast metric counting on one graph.
+    """Spanning-tree data for metric counting on one graph.
 
-    Returns (ends, tree edges, free edges, bridge forms of the tree edges),
-    with vertices 0..k-1 black and k..k+l-1 white in ``ends``.
+    Returns (forms, free): ``forms`` maps each tree edge to its bridge form,
+    the vertex mask of the black endpoint's side of the tree minus that
+    edge; ``free`` lists the (black, white) vertex indices of the 2g edges
+    off the tree, with vertices 0..k-1 black and k..k+l-1 white.
     """
     n_edges = graph.num_edges
     k, l = graph.k, graph.l
@@ -326,112 +338,72 @@ def _spanning_tree(graph: RibbonGraph):
     for e, (b, w) in enumerate(ends):
         adjacency[b].append((w, e))
         adjacency[w].append((b, e))
-    tree_edges: list[int] = []
-    visited = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
+    # One BFS from vertex 0, then the subtree masks bottom-up.
+    parent_edge = {0: None}
+    order = [0]
+    for v in order:
         for u, e in adjacency[v]:
-            if u not in visited:
-                visited.add(u)
-                tree_edges.append(e)
-                stack.append(u)
-    if len(visited) != k + l:
+            if u not in parent_edge:
+                parent_edge[u] = e
+                order.append(u)
+    if len(order) != k + l:
         raise ValueError("graph is not connected")
-    in_tree = set(tree_edges)
-    free_edges = [e for e in range(n_edges) if e not in in_tree]
-    tree_forms = [_split_form(ends, tree_edges, e, k, l) for e in tree_edges]
-    return ends, tree_edges, free_edges, tree_forms
-
-
-def _split_form(
-    ends: list[tuple[int, int]],
-    tree_edges: list[int],
-    removed: int,
-    k: int,
-    l: int,
-) -> Form:
-    """Bridge form of a tree edge: labels on the black-endpoint side.
-
-    Returns (black indices 0-based, white indices 0-based) of the component
-    of the tree minus ``removed`` containing the black endpoint of it.
-    """
-    adjacency: dict[int, list[int]] = {v: [] for v in range(k + l)}
-    for e in tree_edges:
-        if e == removed:
-            continue
+    full = (1 << (k + l)) - 1
+    subtree = [1 << v for v in range(k + l)]
+    forms = {}
+    for v in reversed(order[1:]):
+        e = parent_edge[v]
         b, w = ends[e]
-        adjacency[b].append(w)
-        adjacency[w].append(b)
-    start = ends[removed][0]
-    component = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            if u not in component:
-                component.add(u)
-                stack.append(u)
-    blacks = tuple(sorted(v for v in component if v < k))
-    whites = tuple(sorted(v - k for v in component if v >= k))
-    return blacks, whites
+        subtree[w if v == b else b] |= subtree[v]
+        forms[e] = subtree[v] if v == b else full ^ subtree[v]
+    free = [ends[e] for e in range(n_edges) if e not in forms]
+    return forms, free
 
 
-def _form_value(form: Form, p: PerimeterPair):
-    blacks, whites = form
-    return sum(p.black[i] for i in blacks) - sum(p.white[j] for j in whites)
+def _count_metrics(graph: RibbonGraph, values: list) -> int:
+    """Metric count on one graph at a balanced positive point.
+
+    ``values`` is ``_form_values`` of the point.  A free edge e = (b, w)
+    with weight x_e takes x_e off both of its perimeters, so the weight of
+    the tree edge with form m is values[m] - sum_e c_{m,e} x_e, where
+    c_{m,e} = [b in m] - [w in m] is 1, -1 or 0.  The first 2g - 1 free
+    edges are scanned; on the last one each constraint is a lower or an
+    upper bound, so its admissible weights form an interval.
+    """
+    forms, free = _spanning_tree(graph)
+    if not free:
+        return int(all(values[m] > 0 for m in forms.values()))
+    # values[1 << b] is L_{b+1} and values[1 << w] is -L'_{w-k+1}.
+    bounds = [min(values[1 << b], -values[1 << w]) for b, w in free]
+    rows = [(values[m], [(m >> b & 1) - (m >> w & 1) for b, w in free]) for m in forms.values()]
+    total = 0
+    for xs in product(*(range(1, ub + 1) for ub in bounds[:-1])):
+        lo, hi = 1, bounds[-1]
+        for value, coeffs in rows:
+            # map stops at the end of xs, before the last edge's coefficient
+            base = value - sum(map(mul, coeffs, xs))
+            if coeffs[-1] > 0:
+                hi = min(hi, base - 1)
+            elif coeffs[-1] < 0:
+                lo = max(lo, 1 - base)
+            elif base < 1:
+                break
+        else:
+            total += max(0, hi - lo + 1)
+    return total
 
 
 def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
     """Number of positive integral edge weights realizing the perimeters.
 
-    The 2g weights of edges outside a spanning tree range over bounded
-    intervals; the remaining weights are forced linearly by the tree and
-    checked for positivity.  Infeasible perimeters give 0.
+    The 2g weights of the edges off a spanning tree force the others
+    linearly; see ``_count_metrics``.  Infeasible perimeters give 0.
     """
-    k = graph.k
-    if len(p.black) != k or len(p.white) != graph.l:
+    if len(p.black) != graph.k or len(p.white) != graph.l:
         raise ValueError("perimeter arity does not match the graph")
-    ends, _, free_edges, tree_forms = _spanning_tree(graph)
-    black, white = p.black, p.white
-    if sum(black) != sum(white):
+    if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
         return 0
-    if any(x < 1 for x in black) or any(x < 1 for x in white):
-        return 0
-    bounds = []
-    for e in free_edges:
-        b, w = ends[e]
-        ub = min(black[b], white[w - k])
-        if ub < 1:
-            return 0
-        bounds.append(ub)
-    total = 0
-    assignment = [0] * len(free_edges)
-
-    def tree_positive() -> int:
-        res_black = list(black)
-        res_white = list(white)
-        for e, value in zip(free_edges, assignment):
-            b, w = ends[e]
-            res_black[b] -= value
-            res_white[w - k] -= value
-        for bset, wset in tree_forms:
-            weight = sum(res_black[i] for i in bset) - sum(res_white[j] for j in wset)
-            if weight < 1:
-                return 0
-        return 1
-
-    def rec(pos: int) -> None:
-        nonlocal total
-        if pos == len(free_edges):
-            total += tree_positive()
-            return
-        for value in range(1, bounds[pos] + 1):
-            assignment[pos] = value
-            rec(pos + 1)
-
-    rec(0)
-    return total
+    return _count_metrics(graph, _form_values(p))
 
 
 def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
@@ -445,9 +417,10 @@ def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
         raise ValueError("perimeter arity does not match the graph")
     if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
         return Fraction(0)
+    values = _form_values(p)
     total = Fraction(0)
     for graph, aut in enumerate_graphs(g, k, l):
-        n = count_metrics(graph, p)
+        n = _count_metrics(graph, values)
         if n:
             total += Fraction(n, aut)
     return total
@@ -463,14 +436,15 @@ def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
         raise ValueError("tree_weights requires a genus-0 graph")
     if not p.is_balanced():
         raise ValueError("perimeters must balance: sum L = sum L'")
-    _, tree_edges, _, tree_forms = _spanning_tree(tree)
-    forms = dict(zip(tree_edges, tree_forms))
-    return tuple(_form_value(forms[e], p) for e in range(tree.num_edges))
+    forms, _ = _spanning_tree(tree)
+    values = _form_values(p)
+    return tuple(values[forms[e]] for e in range(tree.num_edges))
 
 
 @cache
-def _tree_forms(k: int, l: int) -> list[list[Form]]:
-    return [_spanning_tree(graph)[3] for graph, _ in enumerate_graphs(0, k, l)]
+def _tree_forms(k: int, l: int) -> list[tuple[int, ...]]:
+    """The bridge-form masks of every tree of the (0, k, l) family."""
+    return [tuple(_spanning_tree(graph)[0].values()) for graph, _ in enumerate_graphs(0, k, l)]
 
 
 def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
@@ -479,16 +453,8 @@ def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
     Perimeters may be arbitrary rationals; only the signs of the induced
     edge weights matter.
     """
-    black, white = p.black, p.white
-    count = 0
-    for forms in _tree_forms(k, l):
-        for bset, wset in forms:
-            weight = sum(black[i] for i in bset) - sum(white[j] for j in wset)
-            if weight <= 0:
-                break
-        else:
-            count += 1
-    return count
+    positive = [v > 0 for v in _form_values(p)]
+    return sum(all(map(positive.__getitem__, masks)) for masks in _tree_forms(k, l))
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +462,12 @@ def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _all_forms(k: int, l: int) -> tuple[Form, ...]:
-    """Every form (blacks, whites) on H_{k,l} but the empty and the full one."""
-    out = []
-    for bmask in range(2**k):
-        blacks = tuple(i for i in range(k) if bmask >> i & 1)
-        for wmask in range(2**l):
-            whites = tuple(j for j in range(l) if wmask >> j & 1)
-            if (blacks or whites) and (len(blacks), len(whites)) != (k, l):
-                out.append((blacks, whites))
-    return tuple(out)
+def _all_forms(k: int, l: int) -> range:
+    """Every form (vertex mask) on H_{k,l} but the empty and the full one."""
+    return range(1, 2 ** (k + l) - 1)
 
 
-def _open_wall_forms(wall: Wall) -> list[Form]:
+def _open_wall_forms(wall: Wall) -> list[int]:
     """The forms the wall does not imply: none vanishes at a point of its open part."""
     return [form for form in _all_forms(wall.k, wall.l) if not wall.implies(form)]
 
@@ -538,7 +496,8 @@ def wall_sample_point(wall: Wall, seed: int = 0) -> PerimeterPair:
             black += _random_parts(rng, total, bi)
             white += _random_parts(rng, total, wi)
         point = PerimeterPair(tuple(black), tuple(white))
-        if all(_form_value(form, point) for form in forms):
+        values = _form_values(point)
+        if all(values[m] for m in forms):
             return point
     raise ValueError(f"no point of the open wall in {SAMPLE_TRIES} draws")
 
@@ -619,8 +578,8 @@ def fit_ray_polynomial(
 
 
 def _sign_pattern(k: int, l: int, p: PerimeterPair) -> tuple[int, ...]:
-    values = (_form_value(form, p) for form in _all_forms(k, l))
-    return tuple((v > 0) - (v < 0) for v in values)
+    values = _form_values(p)
+    return tuple((values[m] > 0) - (values[m] < 0) for m in _all_forms(k, l))
 
 
 def verify_wall_constancy() -> bool:
@@ -654,7 +613,8 @@ def verify_wall_constancy() -> bool:
         patterns = set()
         for lengths in lengths_pool:
             point = PerimeterPair(lengths, lengths)
-            if not all(_form_value(form, point) for form in forms):
+            values = _form_values(point)
+            if not all(values[m] for m in forms):
                 raise ValueError(f"cell point {lengths} is not in the open wall")
             patterns.add(_sign_pattern(n, n, point))
             if count_positive_trees(n, n, point) != expected:

@@ -79,9 +79,6 @@ class PiScaled:
     def scale(self, q: Fraction | int) -> "PiScaled":
         return PiScaled(self.coeff * q, self.pi_exponent)
 
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
     def to_float(self) -> float:
         return float(self.coeff) * math.pi**self.pi_exponent
 

@@ -171,3 +171,13 @@ def test_criterion_11_asymptotics_sanity():
     with _Criterion(11, "partial sum over prediction in [0.95, 1.05] at N = 10^4", None):
         ratio = cylinder_partial_sum((1,), 10**4) / asymptotic_prediction((1,), 10**4)
         assert 0.95 <= ratio <= 1.05
+
+
+def test_criterion_12_top_terms_beyond_genus_one():
+    with _Criterion(12, "genus-2 and genus-3 ray polynomials have the predicted top term", None):
+        poly = fit_ray_polynomial(2, 2, 2, PerimeterPair((2, 1), (2, 1)), 6)
+        assert len(poly) - 1 == 4
+        assert poly[-1] == Fraction(142, 3) == pgvn_polynomial(2, 2).evaluate((2, 1))
+        poly = fit_ray_polynomial(3, 1, 1, PerimeterPair((1,), (1,)), 8)
+        assert len(poly) - 1 == 6
+        assert poly[-1] == Fraction(1, 28) == pgvn_polynomial(3, 1).evaluate((1,))

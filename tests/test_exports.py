@@ -1,4 +1,4 @@
-"""No export may dangle: every listed or re-exported name must exist."""
+"""No export may dangle, and no module may reach into a sibling's internals."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import pytest
 import stratavol
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(stratavol.__path__))
+SOURCE = Path(stratavol.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -32,3 +33,46 @@ def test_package_imports_resolve():
         module = importlib.import_module(f"stratavol.{module_name}")
         assert hasattr(module, attr), f"{module_name}.{attr}"
         assert getattr(stratavol, attr) is getattr(module, attr)
+
+
+def _is_package_import(node):
+    return node.level == 1 or (node.module or "").split(".")[0] == "stratavol"
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_no_sibling_internals(name):
+    # The two routes of each cross-check must not share internals, so no
+    # module imports a `_`-prefixed name from a sibling or reads sibling._name.
+    tree = ast.parse((SOURCE / f"{name}.py").read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _is_package_import(node)
+    ]
+    siblings = {
+        alias.asname or alias.name
+        for node in imports
+        if node.module in (None, "stratavol")
+        for alias in node.names
+    }
+    siblings |= {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("stratavol.") and alias.asname
+    }
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in siblings
+        and node.attr.startswith("_")
+    ]
+    assert private == []

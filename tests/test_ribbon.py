@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -30,6 +32,13 @@ def block_walls(max_size=4):
         for b in compositions(k, n)
         for w in compositions(l, n)
     ]
+
+
+def decode(mask, k, l):
+    """A form's vertex mask as its (blacks, whites) 0-based index tuples."""
+    blacks = tuple(i for i in range(k) if mask >> i & 1)
+    whites = tuple(j for j in range(l) if mask >> (k + j) & 1)
+    return blacks, whites
 
 
 def block_sums(blocks, values):
@@ -90,6 +99,64 @@ def reference_implies(wall, form):
             factor = v[pivot]
             v = [a - factor * b for a, b in zip(v, row)]
     return all(x == 0 for x in v)
+
+
+# The free-edge scan that count_metrics replaced, kept here as the reference
+# only: every free edge ranges over its interval, and the tree edges are
+# checked on the residual perimeters through bridge forms found by one DFS
+# per tree edge.
+
+
+@cache
+def reference_tree(graph):
+    """(ends, free edges, bridge forms as (blacks, whites) sets) of a DFS tree."""
+    k, l = graph.k, graph.l
+    ends = [(b - 1, k + w - 1) for b, w in zip(graph.black_labels, graph.white_labels)]
+    adjacency = {v: [] for v in range(k + l)}
+    for e, (b, w) in enumerate(ends):
+        adjacency[b].append((w, e))
+        adjacency[w].append((b, e))
+    tree_edges, visited, stack = [], {0}, [0]
+    while stack:
+        v = stack.pop()
+        for u, e in adjacency[v]:
+            if u not in visited:
+                visited.add(u)
+                tree_edges.append(e)
+                stack.append(u)
+    forms = []
+    for removed in tree_edges:
+        component, stack = {ends[removed][0]}, [ends[removed][0]]
+        while stack:
+            v = stack.pop()
+            for u, e in adjacency[v]:
+                if e in tree_edges and e != removed and u not in component:
+                    component.add(u)
+                    stack.append(u)
+        forms.append(({v for v in component if v < k}, {v - k for v in component if v >= k}))
+    free_edges = [e for e in range(len(ends)) if e not in tree_edges]
+    return ends, free_edges, forms
+
+
+def reference_count_metrics(graph, p):
+    k = graph.k
+    black, white = p.black, p.white
+    if sum(black) != sum(white) or min(black + white) < 1:
+        return 0
+    ends, free_edges, forms = reference_tree(graph)
+    ranges = [range(1, min(black[ends[e][0]], white[ends[e][1] - k]) + 1) for e in free_edges]
+    total = 0
+    for assignment in product(*ranges):
+        res_black, res_white = list(black), list(white)
+        for e, value in zip(free_edges, assignment):
+            b, w = ends[e]
+            res_black[b] -= value
+            res_white[w - k] -= value
+        total += all(
+            sum(res_black[i] for i in blacks) - sum(res_white[j] for j in whites) >= 1
+            for blacks, whites in forms
+        )
+    return total
 
 
 class TestEnumeration:
@@ -182,6 +249,25 @@ class TestCountMetrics:
                 black[b - 1] += w
                 white[wl - 1] += w
             assert PerimeterPair(tuple(black), tuple(white)) == point
+
+    @pytest.mark.parametrize(
+        "g, k, l, max_total",
+        [(0, 3, 3, 8), (1, 1, 1, 16), (1, 2, 1, 12), (1, 2, 2, 10), (2, 1, 1, 14)],
+    )
+    def test_matches_reference_scan(self, g, k, l, max_total):
+        # every point with perimeter total <= max_total: zero perimeters,
+        # unbalanced points and wall points such as L_1 = L'_1 included
+        points = [
+            PerimeterPair(black, white)
+            for black in product(range(max_total + 1), repeat=k)
+            for white in product(range(max_total + 1), repeat=l)
+            if sum(black) + sum(white) <= max_total
+        ]
+        for graph, _ in enumerate_graphs(g, k, l):
+            for point in points:
+                assert count_metrics(graph, point) == reference_count_metrics(graph, point), (
+                    graph, point,
+                )
 
     def test_tree_metric_is_indicator_of_positive_weights(self):
         # on a tree the metric count is 0 or 1, deciding positivity of the
@@ -299,7 +385,8 @@ class TestWallSampling:
         pairs = 0
         for wall in block_walls():
             for form in _all_forms(wall.k, wall.l):
-                assert wall.implies(form) == reference_implies(wall, form), (wall, form)
+                expected = reference_implies(wall, decode(form, wall.k, wall.l))
+                assert wall.implies(form) == expected, (wall, form)
                 pairs += 1
         assert pairs == 8778
 
@@ -314,11 +401,12 @@ class TestWallSampling:
                 assert block_sums(wall.black_blocks, point.black) == block_sums(
                     wall.white_blocks, point.white
                 )
-                for blacks, whites in _all_forms(wall.k, wall.l):
+                for form in _all_forms(wall.k, wall.l):
+                    blacks, whites = decode(form, wall.k, wall.l)
                     value = sum(point.black[i] for i in blacks) - sum(
                         point.white[j] for j in whites
                     )
-                    assert (value == 0) == wall.implies((blacks, whites))
+                    assert (value == 0) == wall.implies(form)
 
     def test_sign_pattern_stable_along_rays(self):
         point = wall_sample_point(Wall.diagonal(2), seed=3)

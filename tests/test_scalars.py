@@ -75,7 +75,7 @@ class TestPiScaled:
             PiScaled(Fraction(1), 2) + PiScaled(Fraction(1), 4)
 
     def test_zero_any_exponent(self):
-        assert PiScaled(Fraction(0), 6).is_zero()
+        assert PiScaled(Fraction(0), 6).coeff == 0
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
