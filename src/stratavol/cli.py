@@ -13,8 +13,11 @@ All exact values are printed as rational strings; ``--float`` adds a
 decimal column for display only.  Identical invocations produce
 byte-identical output.
 
-A broken internal invariant exits with code 3 and a one-line
-``internal error:`` message on stderr, without a traceback.
+A refused input exits with code 2 and a one-line ``error:`` message on
+stderr; every refusal is a check in this module.  A ``ValueError`` or
+``AssertionError`` from the package on accepted input is a broken internal
+invariant: it exits with code 3 and a one-line ``internal error:``
+message, without a traceback.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ ORDER_LIMIT = 20
 RIBBON_WORK_LIMIT = 10**6
 
 VERIFY_SUITES = ("bivariate", "multivariate", "walls", "oracle-p", "oracle-sts", "all")
+
+
+class _Refused(Exception):
+    """An input the CLI refuses; main prints it as one ``error:`` line."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,11 +118,11 @@ def _emit_rows(args, header: list[str], rows: list[dict], out) -> None:
 
 def _parse_perimeters(text: str | None, flag: str) -> tuple[int, ...]:
     if not text:
-        raise ValueError(f"{flag} is required for this count")
+        raise _Refused(f"{flag} is required for this count")
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} must be comma-separated integers") from None
+        raise _Refused(f"{flag} must be comma-separated integers") from None
     return values
 
 
@@ -123,7 +130,7 @@ def _check_ribbon_work(genus: int, black: tuple[int, ...], white: tuple[int, ...
     classes = len(ribbon.enumerate_graphs(genus, len(black), len(white)))
     work = classes * max(1, *black, *white) ** (2 * genus)
     if work > RIBBON_WORK_LIMIT:
-        raise ValueError(
+        raise _Refused(
             f"count ribbon would visit up to {work} lattice points; "
             f"the cap is {RIBBON_WORK_LIMIT}"
         )
@@ -131,9 +138,9 @@ def _check_ribbon_work(genus: int, black: tuple[int, ...], white: tuple[int, ...
 
 def _check_max_squares(n: int) -> None:
     if n < 1:
-        raise ValueError("--max-squares must be >= 1")
+        raise _Refused("--max-squares must be >= 1")
     if n > sts.MAX_SQUARES:
-        raise ValueError(f"--max-squares is capped at {sts.MAX_SQUARES}")
+        raise _Refused(f"--max-squares is capped at {sts.MAX_SQUARES}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +150,7 @@ def _check_max_squares(n: int) -> None:
 
 def cmd_volumes(args, out) -> int:
     if args.gmax > GMAX_LIMIT:
-        raise ValueError(f"--gmax is capped at {GMAX_LIMIT}")
+        raise _Refused(f"--gmax is capped at {GMAX_LIMIT}")
     rows = []
     header = ["g", "n", "a_gn"]
     if args.format == "json":
@@ -166,7 +173,7 @@ def cmd_volumes(args, out) -> int:
 
 def cmd_pnumbers(args, out) -> int:
     if args.weight > WEIGHT_LIMIT:
-        raise ValueError(f"--weight is capped at {WEIGHT_LIMIT}")
+        raise _Refused(f"--weight is capped at {WEIGHT_LIMIT}")
     entries = []
     for weight in range(2, args.weight + 1, 2):
         for half in partitions(weight // 2):
@@ -185,9 +192,9 @@ def cmd_pnumbers(args, out) -> int:
 
 def cmd_series(args, out) -> int:
     if args.order > ORDER_LIMIT:
-        raise ValueError(f"--order is capped at {ORDER_LIMIT}")
+        raise _Refused(f"--order is capped at {ORDER_LIMIT}")
     if args.order < 2 or args.order % 2:
-        raise ValueError("--order must be even and >= 2")
+        raise _Refused("--order must be even and >= 2")
     series = volumes.c_series(args.order)
     rows = []
     for k in range(series.order + 1):
@@ -212,7 +219,7 @@ def cmd_series(args, out) -> int:
 def cmd_count(args, out) -> int:
     if args.kind == "sts":
         if args.genus < 1:
-            raise ValueError("--genus must be >= 1 for sts counts")
+            raise _Refused("--genus must be >= 1 for sts counts")
         _check_max_squares(args.max_squares)
         table = sts.census(args.genus, args.max_squares)
         rows = []
@@ -235,10 +242,20 @@ def cmd_count(args, out) -> int:
 
     black = _parse_perimeters(args.black_perimeters, "--black-perimeters")
     white = _parse_perimeters(args.white_perimeters, "--white-perimeters")
+    if args.genus < 0:
+        raise _Refused("need g >= 0, k >= 1, l >= 1")
+    # Trees are the genus-0 family whatever --genus says.
+    genus = args.genus if args.kind == "ribbon" else 0
+    n_edges = len(black) + len(white) - 1 + 2 * genus
+    if n_edges > ribbon.MAX_EDGES:
+        raise _Refused(
+            f"(g,k,l)=({genus},{len(black)},{len(white)}) needs {n_edges} edges; "
+            f"bound is {ribbon.MAX_EDGES}"
+        )
     point = PerimeterPair(black, white)
     if args.kind == "ribbon":
-        _check_ribbon_work(args.genus, black, white)
-        value = ribbon.counting_function(args.genus, len(black), len(white), point)
+        _check_ribbon_work(genus, black, white)
+        value = ribbon.counting_function(genus, len(black), len(white), point)
         print(format_rational(value), file=out)
     else:
         print(ribbon.count_positive_trees(len(black), len(white), point), file=out)
@@ -319,10 +336,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
             code = cmd_count(args, out)
         else:
             code = cmd_verify(args, out)
-    except ValueError as exc:
+    except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (ValueError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     return code

@@ -7,8 +7,9 @@ image of ``i``.  Composition follows the function convention:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations as _all_permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterator
 
 Perm = tuple[int, ...]
@@ -134,15 +135,14 @@ def from_cycle_type(ctype: tuple[int, ...]) -> Perm:
     return tuple(img)
 
 
+def multiplicity_factorial(parts) -> int:
+    """prod_i m_i! over the multiplicities m_i of the values in parts."""
+    return prod(factorial(m) for m in Counter(parts).values())
+
+
 def centralizer_order(ctype: tuple[int, ...]) -> int:
     """|Z(p)| in S_n for p of the given cycle type: prod_i i^{m_i} m_i!."""
-    mult: dict[int, int] = {}
-    for length in ctype:
-        mult[length] = mult.get(length, 0) + 1
-    order = 1
-    for length, m in mult.items():
-        order *= length**m * factorial(m)
-    return order
+    return prod(ctype) * multiplicity_factorial(ctype)
 
 
 def centralizer_generators(p: Perm) -> list[Perm]:

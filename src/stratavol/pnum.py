@@ -10,19 +10,21 @@ The numbers satisfy the recursion
 with s = s_1 + .. + s_n, base case p_s = (s-2)! for a single index, and
 (x)_m the falling factorial, (x)_0 = 1.  The labeled partitions into t
 blocks are the unordered set partitions times t! labelings, so the t! and
-the 1/t! cancel and every term is an integer.
+the 1/t! cancel and every term is an integer:
 
-A term depends only on the multiset of index values in each block, so the
-sum runs over the multiset partitions of the sorted key instead of its
-Bell(n) set partitions.  For a key with multiplicity m_v of the value v,
-the multiset partition into blocks with multiplicities b_{j,v} stands for
+    p_{s_1,..,s_n} = (s-2)! - sum_{t=2}^{n} (s-2)_{t-2} * S_t,
 
-    prod_v m_v! / (prod_j prod_v b_{j,v}! * prod_{equal blocks} r!)
+where S_t sums prod_j (sum_{i in I_j} s_i - 1) * p_{s_{I_j}} over the
+unordered set partitions into t blocks.  S_t is taken by the block that
+holds the first index.  If the key has m_v further indices of
+the value v, a block that takes b_v of them stands for prod_v C(m_v, b_v)
+blocks of positions, and what is left of the key splits into t - 1 blocks:
 
-set partitions, where r is the number of times a block repeats.  The
-weights are computed by exact integer division with remainder asserted 0,
-and each value is asserted to be a positive integer.  Values are memoized
-per sorted key for the life of the process.
+    S_t(K) = sum_B prod_v C(m_v, b_v) * (sum B - 1) * p_B * S_{t-1}(K - B),
+
+with S_0 of the empty key 1, and S_t = 0 when exactly one of t and the key
+is empty.  S_t and p are memoized per (sorted key, t) and per sorted key
+for the life of the process, and each p is asserted to be positive.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import factorial, perm, prod
+from itertools import groupby, product
+from math import comb, factorial, perm, prod
 from typing import Iterator
 
-from .permutation import partitions
+from .permutation import multiplicity_factorial, partitions
 
 __all__ = [
     "p_value",
@@ -49,80 +51,34 @@ __all__ = [
 ]
 
 
-def _multiplicity_factor(parts) -> int:
-    """prod over runs of equal adjacent items of (run length)!
+@cache
+def _blocks(key: tuple[int, ...], t: int) -> int:
+    """S_t(key): sum over set partitions of key's positions into t blocks.
 
-    For a sorted sequence this is the product of the multiplicities' factorials.
+    Each partition contributes prod over its blocks B of (sum B - 1) * p_B.
     """
-    out = 1
-    run = 1
-    for a, b in zip(parts, parts[1:]):
-        if a == b:
-            run += 1
-        else:
-            out *= factorial(run)
-            run = 1
-    out *= factorial(run)
-    return out
-
-
-def _vector_partitions(
-    rem: tuple[int, ...], bound: tuple[int, ...]
-) -> Iterator[list[tuple[int, ...]]]:
-    """Partitions of the multiplicity vector rem into non-zero blocks.
-
-    Blocks come in non-increasing lexicographic order, none above bound,
-    so each partition appears exactly once.  The largest block holds the
-    first value still present, which cuts the search to those blocks.
-    """
-    if not any(rem):
-        yield []
-        return
-    first = next(i for i, r in enumerate(rem) if r)
-    for block in product(*(range(r, -1, -1) for r in rem)):
-        if block[first] == 0:
-            break
-        if block > bound:
-            continue
-        rest = tuple(r - b for r, b in zip(rem, block))
-        for tail in _vector_partitions(rest, block):
-            yield [block, *tail]
-
-
-def _multiset_partitions(key: tuple[int, ...]) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(count, blocks) for each multiset partition of a non-increasing key.
-
-    blocks are non-increasing tuples, equal blocks adjacent, and count is
-    the number of set partitions of the key's positions with these blocks.
-    """
-    values = sorted(set(key), reverse=True)
-    total = _multiplicity_factor(key)
-    multiplicities = tuple(key.count(v) for v in values)
-    for vectors in _vector_partitions(multiplicities, multiplicities):
-        blocks = [tuple(v for v, c in zip(values, vec) for _ in range(c)) for vec in vectors]
-        denominator = _multiplicity_factor(blocks) * prod(map(_multiplicity_factor, blocks))
-        count, remainder = divmod(total, denominator)
-        if remainder:
-            raise AssertionError(f"set-partition count of {blocks} in {key} is not an integer")
-        yield count, blocks
+    if not key or not t:
+        return int(not key and not t)
+    values = [v for v, _ in groupby(key)]
+    counts = [key.count(v) for v in values]
+    counts[0] -= 1
+    total = 0
+    for picks in product(*(range(m + 1) for m in counts)):
+        left = tuple(v for v, m, b in zip(values, counts, picks) for _ in range(m - b))
+        rest = _blocks(left, t - 1)
+        if rest:
+            block = key[:1] + tuple(v for v, b in zip(values, picks) for _ in range(b))
+            total += prod(map(comb, counts, picks)) * (sum(block) - 1) * _p(block) * rest
+    return total
 
 
 @cache
 def _p(key: tuple[int, ...]) -> int:
     """p-number of a non-empty, non-increasing key of parts >= 2."""
     s = sum(key)
-    top = factorial(s - 2)
-    if len(key) == 1:
-        return top
-    subtracted = 0
-    for count, blocks in _multiset_partitions(key):
-        if len(blocks) < 2:
-            continue
-        term = count * perm(s - 2, len(blocks) - 2)
-        for block in blocks:
-            term *= (sum(block) - 1) * _p(block)
-        subtracted += term
-    value = top - subtracted
+    value = factorial(s - 2) - sum(
+        perm(s - 2, t - 2) * _blocks(key, t) for t in range(2, len(key) + 1)
+    )
     if value <= 0:
         raise AssertionError(f"recursion for {key} gave non-positive value {value}")
     return value
@@ -151,34 +107,30 @@ def p_bw_value(b: tuple[int, ...], w: tuple[int, ...]) -> int:
 # Multivariate generating series
 # ---------------------------------------------------------------------------
 
-Monomial = tuple[int, tuple[int, ...]]  # (power of t, sorted subscript multiset)
-
-
 class WeightedMonomialSeries:
     """Series in t whose coefficients are polynomials in t_2, t_3, ...
 
-    Terms are kept only while both the power of t and the subscript weight
-    (the sum of the subscripts of the t_i factors) stay <= weight.  In all
-    series arising here the subscript weight of a term never exceeds its
-    t-power, so products truncated this way are exact in every extracted
-    t-coefficient.
+    Every term built here carries the power of t equal to its subscript
+    weight, the sum of the subscripts of its t_i factors, and products keep
+    that so.  A term is therefore keyed by its sorted subscripts alone, and
+    the terms of subscript weight above weight are dropped.
     """
 
     __slots__ = ("weight", "terms")
 
-    def __init__(self, weight: int, terms: dict[Monomial, Fraction] | None = None) -> None:
+    def __init__(self, weight: int, terms: dict[tuple[int, ...], Fraction] | None = None) -> None:
         if weight < 1:
             raise ValueError("weight must be positive")
         self.weight = weight
-        self.terms: dict[Monomial, Fraction] = {}
+        self.terms: dict[tuple[int, ...], Fraction] = {}
         if terms:
-            for (tp, subs), c in terms.items():
-                self._add_term(tp, subs, Fraction(c))
+            for subs, c in terms.items():
+                self._add_term(subs, Fraction(c))
 
-    def _add_term(self, t_pow: int, subs: tuple[int, ...], coeff: Fraction) -> None:
-        if coeff == 0 or t_pow > self.weight or sum(subs) > self.weight:
+    def _add_term(self, subs: tuple[int, ...], coeff: Fraction) -> None:
+        if coeff == 0 or sum(subs) > self.weight:
             return
-        key = (t_pow, tuple(sorted(subs)))
+        key = tuple(sorted(subs))
         new = self.terms.get(key, Fraction(0)) + coeff
         if new == 0:
             self.terms.pop(key, None)
@@ -187,33 +139,31 @@ class WeightedMonomialSeries:
 
     @staticmethod
     def one(weight: int) -> "WeightedMonomialSeries":
-        return WeightedMonomialSeries(weight, {(0, ()): Fraction(1)})
+        return WeightedMonomialSeries(weight, {(): Fraction(1)})
 
     def __add__(self, other: "WeightedMonomialSeries") -> "WeightedMonomialSeries":
         out = WeightedMonomialSeries(min(self.weight, other.weight), dict(self.terms))
-        for (tp, subs), c in other.terms.items():
-            out._add_term(tp, subs, c)
+        for subs, c in other.terms.items():
+            out._add_term(subs, c)
         return out
 
     def __mul__(self, other):
         if isinstance(other, WeightedMonomialSeries):
             out = WeightedMonomialSeries(min(self.weight, other.weight))
-            for (tp1, s1), c1 in self.terms.items():
-                for (tp2, s2), c2 in other.terms.items():
-                    out._add_term(tp1 + tp2, s1 + s2, c1 * c2)
+            for s1, c1 in self.terms.items():
+                for s2, c2 in other.terms.items():
+                    out._add_term(s1 + s2, c1 * c2)
             return out
         out = WeightedMonomialSeries(self.weight)
-        for (tp, subs), c in self.terms.items():
-            out._add_term(tp, subs, c * other)
+        for subs, c in self.terms.items():
+            out._add_term(subs, c * other)
         return out
 
     __rmul__ = __mul__
 
     def coefficient_of_t(self, k: int) -> dict[tuple[int, ...], Fraction]:
         """Coefficient of t^k as a map subscript-multiset -> rational."""
-        return {
-            subs: c for (tp, subs), c in self.terms.items() if tp == k and c != 0
-        }
+        return {subs: c for subs, c in self.terms.items() if sum(subs) == k}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedMonomialSeries):
@@ -236,8 +186,8 @@ def t_series(weight: int) -> WeightedMonomialSeries:
         for parts in partitions(s):
             if parts[-1] < 2:
                 continue
-            coeff = Fraction(s - 1, _multiplicity_factor(parts)) * p_value(parts)
-            series._add_term(s, parts, coeff)
+            coeff = Fraction(s - 1, multiplicity_factorial(parts)) * p_value(parts)
+            series._add_term(parts, coeff)
     return series
 
 
@@ -245,7 +195,7 @@ def exp_subscript_series(weight: int) -> WeightedMonomialSeries:
     """exp(sum_{i>=2} t_i t^i) in the truncated monomial algebra."""
     x = WeightedMonomialSeries(weight)
     for i in range(2, weight + 1):
-        x._add_term(i, (i,), Fraction(1))
+        x._add_term((i,), Fraction(1))
     result = WeightedMonomialSeries.one(weight)
     power = WeightedMonomialSeries.one(weight)
     for m in range(1, weight // 2 + 1):

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .pnum import compositions, p_value
+from .permutation import multiplicity_factorial, partitions
+from .pnum import p_value
 from .scalars import PiScaled, bernoulli, zeta_even
 from .series import (
     TruncatedSeries,
@@ -48,16 +49,20 @@ def a_gn(g: int, n: int) -> Fraction:
 
     a_{g,n} = (1/n!) sum over compositions s_1+..+s_n = g, s_i >= 1, of
     p_{2s_1,..,2s_n} prod_i (-1)^(s_i+1) B_{2s_i} / (2s_i (2s_i)!).
+    The summand is symmetric in the s_i, so the sum runs over the
+    partitions of g into n parts, each over prod_i m_i! for the
+    multiplicities m_i of its parts instead of n!.
     """
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
     total = Fraction(0)
-    for comp in compositions(g, n):
-        term = Fraction(p_value(tuple(2 * s for s in comp)))
-        for s in comp:
+    for parts in partitions(g):
+        if len(parts) != n:
+            continue
+        term = Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts))
+        for s in parts:
             term *= Fraction((-1) ** (s + 1)) * bernoulli(2 * s) / (2 * s * factorial(2 * s))
         total += term
-    total /= factorial(n)
     if total <= 0:
         raise AssertionError(f"a_{{{g},{n}}} must be positive, got {total}")
     return total
@@ -67,19 +72,24 @@ def vol_n(g: int, n: int) -> PiScaled:
     """Contribution of n-cylinder surfaces: 2 (2 pi)^(2g) / (2g-1)! * a_{g,n}.
 
     Also computed through the zeta form
-        (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i
-    and asserted equal; the pi-powers cancel identically.
+        (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i,
+    summed like a_gn over the partitions of g into n parts, and asserted
+    equal; the pi-powers cancel identically.
     """
     coeff = Fraction(2) * 2 ** (2 * g) / factorial(2 * g - 1) * a_gn(g, n)
     result = PiScaled(coeff, 2 * g)
 
     zeta_total = PiScaled(Fraction(0), 2 * g)
-    for comp in compositions(g, n):
-        term = PiScaled(Fraction(p_value(tuple(2 * s for s in comp))), 0)
-        for s in comp:
+    for parts in partitions(g):
+        if len(parts) != n:
+            continue
+        term = PiScaled(
+            Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts)), 0
+        )
+        for s in parts:
             term = term * zeta_even(s).scale(Fraction(1, s))
         zeta_total = zeta_total + term
-    zeta_total = zeta_total.scale(Fraction(2, factorial(2 * g - 1) * factorial(n)))
+    zeta_total = zeta_total.scale(Fraction(2, factorial(2 * g - 1)))
     if zeta_total != result:
         raise AssertionError(
             f"zeta and Bernoulli forms disagree at (g,n)=({g},{n}): "

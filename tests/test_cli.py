@@ -188,6 +188,28 @@ class TestCount:
         )
         assert code == 2
 
+    def test_family_guards(self, capsys):
+        # checked in the CLI, before any family is enumerated; trees are genus 0
+        for kind in ("ribbon", "trees"):
+            assert_refused(
+                ["count", kind, "--genus", "-1", "--black-perimeters", "1",
+                 "--white-perimeters", "1"],
+                "need g >= 0, k >= 1, l >= 1",
+                capsys,
+            )
+        assert_refused(
+            ["count", "trees", "--genus", "3", "--black-perimeters", "1,1,1,1,1",
+             "--white-perimeters", "1,1,1,1,1"],
+            "(g,k,l)=(0,5,5) needs 9 edges; bound is 8",
+            capsys,
+        )
+        assert_refused(
+            ["count", "ribbon", "--genus", "5", "--black-perimeters", "2",
+             "--white-perimeters", "2"],
+            "(g,k,l)=(5,1,1) needs 11 edges; bound is 8",
+            capsys,
+        )
+
 
 class TestVerify:
     def test_fast_suites_pass(self):
@@ -273,3 +295,14 @@ class TestInternalError:
         assert code == 3
         assert text == ""
         assert capsys.readouterr().err == "internal error: form mismatch\n"
+
+    def test_package_value_error_exits_three(self, monkeypatch, capsys):
+        # A ValueError on accepted input is a fault of the package, not a refusal.
+        def broken(g, n):
+            raise ValueError("no point of the open wall")
+
+        monkeypatch.setattr(volumes, "a_gn", broken)
+        code, text = run_cli(["volumes", "--gmax", "2"])
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == "internal error: no point of the open wall\n"

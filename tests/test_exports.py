@@ -76,3 +76,34 @@ def test_no_sibling_internals(name):
         and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level `_`-prefixed function, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_no_dead_private_helpers(name):
+    # A private helper is used only by its own module, so one that nothing
+    # there names outside its own definition is dead code.
+    tree = ast.parse((SOURCE / f"{name}.py").read_text())
+    dead = []
+    for helper, definition in _private_definitions(tree):
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(
+            isinstance(node, ast.Name) and node.id == helper and id(node) not in own
+            for node in ast.walk(tree)
+        ):
+            dead.append(helper)
+    assert dead == []

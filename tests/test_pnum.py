@@ -9,7 +9,6 @@ from stratavol import pnum
 from stratavol.permutation import partitions
 from stratavol.pnum import (
     HomogeneousVolumePolynomial,
-    _multiset_partitions,
     compositions,
     exp_subscript_series,
     p_bw_value,
@@ -124,9 +123,10 @@ class TestPValue:
             p_value((4, 1))
 
     def test_nonpositive_value_is_an_internal_error(self, monkeypatch):
-        # p_{2,2} = 2! - p_2 * p_2; an inflated p_2 must not pass silently.
+        # p_{2,2} = 2! - S_2(2, 2); an inflated S_2 must not pass silently.
+        # The cached _p and _blocks are left alone, so no poisoned entry outlives the patch.
         uncached = pnum._p.__wrapped__
-        monkeypatch.setattr(pnum, "_p", lambda key: 2)
+        monkeypatch.setattr(pnum, "_blocks", lambda key, t: 2)
         with pytest.raises(AssertionError):
             uncached((2, 2))
 
@@ -158,16 +158,23 @@ class TestSetPartitions:
             assert flat == [0, 1, 2, 3]
 
 
-class TestMultisetPartitions:
-    @pytest.mark.parametrize("key", [(6, 4, 4, 2, 2, 2), (2, 2, 2, 2, 2, 2)])
-    def test_weights_sum_to_bell_number(self, key):
-        assert sum(count for count, _ in _multiset_partitions(key)) == BELL[6]
-
-    def test_each_partition_once(self):
-        found = [tuple(blocks) for _, blocks in _multiset_partitions((4, 2, 2))]
-        assert sorted(found) == sorted(
-            [((4, 2, 2),), ((4, 2), (2,)), ((4,), (2, 2)), ((4,), (2,), (2,))]
-        )
+class TestBlocks:
+    def test_each_block_count_matches_set_partitions(self):
+        # S_t(K) for every key of weight <= 12 and every t: the binomial
+        # first-block count equals the sum over the set partitions into t blocks.
+        for weight in range(2, 13):
+            for key in partitions(weight):
+                if key[-1] < 2:
+                    continue
+                expected = {t: 0 for t in range(1, len(key) + 1)}
+                for blocks in set_partitions(len(key)):
+                    term = 1
+                    for block in blocks:
+                        parts = tuple(key[i] for i in block)
+                        term *= (sum(parts) - 1) * p_value(parts)
+                    expected[len(blocks)] += term
+                for t, value in expected.items():
+                    assert pnum._blocks(key, t) == value, (key, t)
 
 
 class TestTSeries:
