@@ -52,6 +52,29 @@ __all__ = [
 
 
 @cache
+def _first_blocks(
+    key: tuple[int, ...],
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Every block B holding key[0], as (prod_v C(m_v, b_v), B, key - B).
+
+    The first entry counts the blocks of positions that B stands for, so the
+    entries of a key of n positions, each weighted by the number of set
+    partitions of what is left, add up to the Bell number of n.
+    """
+    values = [v for v, _ in groupby(key)]
+    counts = [key.count(v) for v in values]
+    counts[0] -= 1
+    return tuple(
+        (
+            prod(map(comb, counts, picks)),
+            key[:1] + tuple(v for v, b in zip(values, picks) for _ in range(b)),
+            tuple(v for v, m, b in zip(values, counts, picks) for _ in range(m - b)),
+        )
+        for picks in product(*(range(m + 1) for m in counts))
+    )
+
+
+@cache
 def _blocks(key: tuple[int, ...], t: int) -> int:
     """S_t(key): sum over set partitions of key's positions into t blocks.
 
@@ -59,16 +82,11 @@ def _blocks(key: tuple[int, ...], t: int) -> int:
     """
     if not key or not t:
         return int(not key and not t)
-    values = [v for v, _ in groupby(key)]
-    counts = [key.count(v) for v in values]
-    counts[0] -= 1
     total = 0
-    for picks in product(*(range(m + 1) for m in counts)):
-        left = tuple(v for v, m, b in zip(values, counts, picks) for _ in range(m - b))
+    for count, block, left in _first_blocks(key):
         rest = _blocks(left, t - 1)
         if rest:
-            block = key[:1] + tuple(v for v, b in zip(values, picks) for _ in range(b))
-            total += prod(map(comb, counts, picks)) * (sum(block) - 1) * _p(block) * rest
+            total += count * (sum(block) - 1) * _p(block) * rest
     return total
 
 

@@ -158,6 +158,19 @@ class TestSetPartitions:
             assert flat == [0, 1, 2, 3]
 
 
+class TestMultisetPartitions:
+    @pytest.mark.parametrize("key", [(6, 4, 4, 2, 2, 2), (2, 2, 2, 2, 2, 2)])
+    def test_weights_sum_to_bell_number(self, key):
+        # Splitting off the first block recursively, with each block weighted
+        # by the position blocks it stands for, counts every set partition once.
+        def count(key):
+            if not key:
+                return 1
+            return sum(n * count(left) for n, _, left in pnum._first_blocks(key))
+
+        assert count(key) == BELL[6]
+
+
 class TestBlocks:
     def test_each_block_count_matches_set_partitions(self):
         # S_t(K) for every key of weight <= 12 and every t: the binomial
