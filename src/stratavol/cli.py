@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--black-perimeters", type=str, default=None,
                          help="comma-separated integers, e.g. 5,1")
     p_count.add_argument("--white-perimeters", type=str, default=None)
-    p_count.add_argument("--max-squares", type=int, default=6)
+    p_count.add_argument("--max-squares", type=int, default=None,
+                         help="sts counts only; default 6")
     _add_common(p_count)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -220,8 +221,13 @@ def cmd_count(args, out) -> int:
     if args.kind == "sts":
         if args.genus < 1:
             raise _Refused("--genus must be >= 1 for sts counts")
-        _check_max_squares(args.max_squares)
-        table = sts.census(args.genus, args.max_squares)
+        max_squares = 6 if args.max_squares is None else args.max_squares
+        _check_max_squares(max_squares)
+        for flag, value in (("--black-perimeters", args.black_perimeters),
+                            ("--white-perimeters", args.white_perimeters)):
+            if value is not None:
+                raise _Refused(f"count sts does not read {flag}")
+        table = sts.census(args.genus, max_squares)
         rows = []
         cumulative = 0
         for (n_cyl, n_squares), (count, weighted) in sorted(table.items()):
@@ -237,14 +243,14 @@ def cmd_count(args, out) -> int:
             )
         _emit_rows(args, ["g", "N", "n", "count", "weighted_count"], rows, out)
         if args.format == "pretty":
-            print(f"total classes with N <= {args.max_squares}: {cumulative}", file=out)
+            print(f"total classes with N <= {max_squares}: {cumulative}", file=out)
         return 0
 
     black = _parse_perimeters(args.black_perimeters, "--black-perimeters")
     white = _parse_perimeters(args.white_perimeters, "--white-perimeters")
     if args.genus < 0:
         raise _Refused("need g >= 0, k >= 1, l >= 1")
-    # Trees are the genus-0 family whatever --genus says.
+    # Trees are the genus-0 family; a positive --genus is refused below.
     genus = args.genus if args.kind == "ribbon" else 0
     n_edges = len(black) + len(white) - 1 + 2 * genus
     if n_edges > ribbon.MAX_EDGES:
@@ -252,6 +258,10 @@ def cmd_count(args, out) -> int:
             f"(g,k,l)=({genus},{len(black)},{len(white)}) needs {n_edges} edges; "
             f"bound is {ribbon.MAX_EDGES}"
         )
+    if args.genus != genus:
+        raise _Refused("count trees is the genus-0 family; --genus must be 0")
+    if args.max_squares is not None:
+        raise _Refused(f"count {args.kind} does not read --max-squares")
     point = PerimeterPair(black, white)
     if args.kind == "ribbon":
         _check_ribbon_work(genus, black, white)

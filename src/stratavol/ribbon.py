@@ -19,8 +19,11 @@ Since all E-cycles are conjugate, every isomorphism class has a
 representative whose product is the fixed cycle sigma = (0 1 .. E-1), and
 isomorphisms between such representatives are exactly conjugations by
 powers of sigma (the centralizer of an E-cycle is the cyclic group it
-generates).  Enumeration therefore scans rho_black over S_E and classifies
-the labeled survivors up to the E rotations, which also yields |Aut|.
+generates).  Enumeration keeps one object per orbit, the least: it scans
+rho_black over S_E and keeps it iff no rotation conjugates it to a smaller
+permutation, then keeps a labeling of its vertices iff no rotation fixing
+rho_black maps it to a smaller labeling.  |Aut| of a class is the number of
+rotations that fix both rho_black and the labeling.
 
 A linear form on H_{k,l} with coefficients 0, 1 on the black perimeters and
 0, -1 on the white ones is an ``int`` bit mask over the k + l vertices: bit
@@ -113,10 +116,6 @@ class RibbonGraph:
 
     def is_tree(self) -> bool:
         return self.genus() == 0
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        """(black label, white label) of edge e."""
-        return self.black_labels[e], self.white_labels[e]
 
 
 @dataclass(frozen=True)
@@ -224,9 +223,9 @@ def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
         tuple((i + j) % n_edges for i in range(n_edges)) for j in range(n_edges)
     ]
 
-    # Base pairs: rho_black with k cycles whose partner has l cycles, up to
-    # the sigma-rotations; the stabilizer acts on labelings below.
-    base_seen: set[Perm] = set()
+    # Base pairs: rho_black with k cycles whose partner has l cycles, each the
+    # least of its conjugates under the sigma-rotations; the other rotations
+    # that fix it act on its labelings below.
     classes: list[tuple[RibbonGraph, int]] = []
     for rho_b in _all_perms(range(n_edges)):
         if cycle_count(rho_b) != k:
@@ -235,11 +234,10 @@ def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
         if cycle_count(rho_w) != l:
             continue
         orbit = [conjugate(rot, rho_b) for rot in rotations]
-        if min(orbit) in base_seen:
+        if min(orbit) != rho_b:
             continue
-        base_seen.add(min(orbit))
-        stab = [j for j, image in enumerate(orbit) if image == rho_b]
-        classes.extend(_labeled_classes(rho_b, rho_w, rotations, stab))
+        symmetries = [rot for rot, image in zip(rotations[1:], orbit[1:]) if image == rho_b]
+        classes.extend(_labeled_classes(rho_b, rho_w, symmetries))
     return classes
 
 
@@ -252,57 +250,40 @@ def _cycle_index_map(perm_cycles: list[tuple[int, ...]], n: int) -> list[int]:
 
 
 def _labeled_classes(
-    rho_b: Perm, rho_w: Perm, rotations: list[Perm], stab: list[int]
+    rho_b: Perm, rho_w: Perm, symmetries: list[Perm]
 ) -> list[tuple[RibbonGraph, int]]:
-    """Split the labelings of one base pair into isomorphism classes."""
+    """One labeling pair per isomorphism class of one base pair, with |Aut|.
+
+    A pair is kept iff no symmetry maps it to a smaller one; its |Aut| is 1
+    plus the number of symmetries that fix it.
+    """
     n_edges = len(rho_b)
     b_cycles = cycles(rho_b)
     w_cycles = cycles(rho_w)
-    k, l = len(b_cycles), len(w_cycles)
     b_idx = _cycle_index_map(b_cycles, n_edges)
     w_idx = _cycle_index_map(w_cycles, n_edges)
-
-    def build(lb: tuple[int, ...], lw: tuple[int, ...], aut: int) -> tuple[RibbonGraph, int]:
-        graph = RibbonGraph(
-            rho_b,
-            rho_w,
-            tuple(lb[b_idx[e]] for e in range(n_edges)),
-            tuple(lw[w_idx[e]] for e in range(n_edges)),
-        )
-        return graph, aut
-
-    if stab == [0]:
-        # No symmetry: every pair of labelings is its own class, aut = 1.
-        return [
-            build(lb, lw, 1)
-            for lb in _all_perms(range(1, k + 1))
-            for lw in _all_perms(range(1, l + 1))
-        ]
-
-    # Induced action of each stabilizer rotation on cycle indices.
-    actions = []
-    for j in stab:
-        rot = rotations[j]
-        b_map = tuple(b_idx[rot[cyc[0]]] for cyc in b_cycles)
-        w_map = tuple(w_idx[rot[cyc[0]]] for cyc in w_cycles)
-        actions.append((b_map, w_map))
-
+    # Induced action of each symmetry on cycle indices.
+    actions = [
+        ([b_idx[rot[cyc[0]]] for cyc in b_cycles], [w_idx[rot[cyc[0]]] for cyc in w_cycles])
+        for rot in symmetries
+    ]
     out = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for lb in _all_perms(range(1, k + 1)):
-        for lw in _all_perms(range(1, l + 1)):
-            if (lb, lw) in seen:
-                continue
-            orbit = set()
-            aut = 0
+    for lb in _all_perms(range(1, len(b_cycles) + 1)):
+        for lw in _all_perms(range(1, len(w_cycles) + 1)):
+            aut = 1
             for b_map, w_map in actions:
-                moved_b = tuple(lb[b_map[ci]] for ci in range(k))
-                moved_w = tuple(lw[w_map[ci]] for ci in range(l))
-                orbit.add((moved_b, moved_w))
-                if (moved_b, moved_w) == (lb, lw):
-                    aut += 1
-            seen.update(orbit)
-            out.append(build(lb, lw, aut))
+                image = (tuple(lb[ci] for ci in b_map), tuple(lw[ci] for ci in w_map))
+                if image < (lb, lw):
+                    break
+                aut += image == (lb, lw)
+            else:
+                graph = RibbonGraph(
+                    rho_b,
+                    rho_w,
+                    tuple(lb[b_idx[e]] for e in range(n_edges)),
+                    tuple(lw[w_idx[e]] for e in range(n_edges)),
+                )
+                out.append((graph, aut))
     return out
 
 
@@ -550,23 +531,15 @@ def fit_ray_polynomial(
                 f"finite difference of order {j} is {diffs[j]} != 0: "
                 "degree bound 2g violated (point not in an open cell?)"
             )
-    degree = min(2 * g, len(diffs) - 1)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for j in range(degree + 1):
-        if diffs[j] == 0:
-            continue
-        # binom(c-1, j) expanded in powers of c
-        poly = [Fraction(1)]
-        for i in range(j):
-            # multiply by (c - 1 - i)
-            shifted = [Fraction(0)] + poly
-            poly = [
-                s - (1 + i) * a
-                for s, a in zip(shifted, poly + [Fraction(0)])
-            ]
-        scale = diffs[j] / factorial(j)
-        for deg, a in enumerate(poly):
-            coeffs[deg] += scale * a
+    # Newton form f(c) = sum_j a_j (c - 1)..(c - j) with a_j = diffs[j] / j!,
+    # folded by Horner's rule: coeffs <- coeffs * (c - (j + 1)) + a_j.
+    coeffs: list[Fraction] = []
+    for j in range(2 * g, -1, -1):
+        coeffs = [
+            a - (j + 1) * b
+            for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])
+        ]
+        coeffs[0] += diffs[j] / factorial(j)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

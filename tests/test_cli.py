@@ -106,17 +106,20 @@ class TestCount:
         assert code == 0 and text.strip() == "1"
 
     def test_trees(self):
-        code, text = run_cli(
-            [
-                "count",
-                "trees",
-                "--black-perimeters",
-                "5,1",
-                "--white-perimeters",
-                "4,2",
-            ]
-        )
-        assert code == 0 and text.strip() == "2"
+        # trees are the genus-0 family; --genus 0 is accepted
+        for genus in ([], ["--genus", "0"]):
+            code, text = run_cli(
+                [
+                    "count",
+                    "trees",
+                    "--black-perimeters",
+                    "5,1",
+                    "--white-perimeters",
+                    "4,2",
+                ]
+                + genus
+            )
+            assert code == 0 and text.strip() == "2"
 
     def test_sts_cumulative(self):
         code, text = run_cli(
@@ -209,6 +212,28 @@ class TestCount:
             "(g,k,l)=(5,1,1) needs 11 edges; bound is 8",
             capsys,
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count", "trees", "--genus", "3", "--black-perimeters", "2,1",
+              "--white-perimeters", "1,2"],
+             "count trees is the genus-0 family; --genus must be 0"),
+            (["count", "ribbon", "--genus", "1", "--black-perimeters", "4",
+              "--white-perimeters", "4", "--max-squares", "99"],
+             "count ribbon does not read --max-squares"),
+            (["count", "trees", "--black-perimeters", "5,1", "--white-perimeters", "4,2",
+              "--max-squares", "6"],
+             "count trees does not read --max-squares"),
+            (["count", "sts", "--genus", "1", "--max-squares", "3",
+              "--black-perimeters", "5"],
+             "count sts does not read --black-perimeters"),
+            (["count", "sts", "--genus", "1", "--white-perimeters", "5"],
+             "count sts does not read --white-perimeters"),
+        ],
+    )
+    def test_unread_flags_refused(self, argv, message, capsys):
+        assert_refused(argv, message, capsys)
 
 
 class TestVerify:

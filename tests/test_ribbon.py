@@ -1,13 +1,16 @@
+import hashlib
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
 
+from stratavol.permutation import compose, conjugate, cycle_count, cycles, inverse
 from stratavol.pnum import compositions, p_value, pgvn_polynomial
 from stratavol.ribbon import (
     PerimeterPair,
+    RibbonGraph,
     Wall,
     count_metrics,
     count_positive_trees,
@@ -159,6 +162,112 @@ def reference_count_metrics(graph, p):
     return total
 
 
+# The enumeration that enumerate_graphs replaced, kept here as the reference
+# only: base pairs and labelings are classified by recording every orbit
+# already met, with a separate path for base pairs without symmetry.
+
+
+def reference_labeled_classes(rho_b, rho_w, rotations, stab):
+    n_edges = len(rho_b)
+    b_cycles, w_cycles = cycles(rho_b), cycles(rho_w)
+    k, l = len(b_cycles), len(w_cycles)
+    b_idx, w_idx = [0] * n_edges, [0] * n_edges
+    for idx, perm_cycles in ((b_idx, b_cycles), (w_idx, w_cycles)):
+        for ci, cyc in enumerate(perm_cycles):
+            for e in cyc:
+                idx[e] = ci
+
+    def build(lb, lw, aut):
+        graph = RibbonGraph(
+            rho_b,
+            rho_w,
+            tuple(lb[b_idx[e]] for e in range(n_edges)),
+            tuple(lw[w_idx[e]] for e in range(n_edges)),
+        )
+        return graph, aut
+
+    if stab == [0]:
+        return [
+            build(lb, lw, 1)
+            for lb in permutations(range(1, k + 1))
+            for lw in permutations(range(1, l + 1))
+        ]
+    actions = []
+    for j in stab:
+        rot = rotations[j]
+        b_map = tuple(b_idx[rot[cyc[0]]] for cyc in b_cycles)
+        w_map = tuple(w_idx[rot[cyc[0]]] for cyc in w_cycles)
+        actions.append((b_map, w_map))
+    out, seen = [], set()
+    for lb in permutations(range(1, k + 1)):
+        for lw in permutations(range(1, l + 1)):
+            if (lb, lw) in seen:
+                continue
+            orbit, aut = set(), 0
+            for b_map, w_map in actions:
+                moved_b = tuple(lb[b_map[ci]] for ci in range(k))
+                moved_w = tuple(lw[w_map[ci]] for ci in range(l))
+                orbit.add((moved_b, moved_w))
+                if (moved_b, moved_w) == (lb, lw):
+                    aut += 1
+            seen.update(orbit)
+            out.append(build(lb, lw, aut))
+    return out
+
+
+def reference_enumerate_graphs(g, k, l):
+    n_edges = k + l - 1 + 2 * g
+    sigma = tuple((i + 1) % n_edges for i in range(n_edges))
+    rotations = [
+        tuple((i + j) % n_edges for i in range(n_edges)) for j in range(n_edges)
+    ]
+    base_seen, classes = set(), []
+    for rho_b in permutations(range(n_edges)):
+        if cycle_count(rho_b) != k:
+            continue
+        rho_w = compose(inverse(rho_b), sigma)
+        if cycle_count(rho_w) != l:
+            continue
+        orbit = [conjugate(rot, rho_b) for rot in rotations]
+        if min(orbit) in base_seen:
+            continue
+        base_seen.add(min(orbit))
+        stab = [j for j, image in enumerate(orbit) if image == rho_b]
+        classes.extend(reference_labeled_classes(rho_b, rho_w, rotations, stab))
+    return classes
+
+
+def families(n_edges):
+    """Every (g, k, l) whose graphs have n_edges edges."""
+    return [
+        (g, k, n_edges + 1 - 2 * g - k)
+        for g in range(n_edges // 2 + 1)
+        for k in range(1, n_edges + 1 - 2 * g)
+    ]
+
+
+# SHA-256 of repr(enumerate_graphs(g, k, l)) for every 7-edge family, taken
+# from reference_enumerate_graphs.
+ENUMERATION_DIGESTS_AT_7 = {
+    (0, 1, 7): "8689f021b4f9b34e6b79cd151bacedb8967e1f5616b13ff9227af882a4c2de9d",
+    (0, 2, 6): "d5547cfb0da622285df841e1edd6eb47cfce8d73cd04dd3dbb091f134b47c574",
+    (0, 3, 5): "cb8a9b41b3210c448636fb68ea4ec3313522cf843ef583b17049cf9f176c8772",
+    (0, 4, 4): "7edfdb5a170431a9015b25bd0d6d52b472d4e526627682b94be267339cc81032",
+    (0, 5, 3): "941e2d34e852760b86cd08d575d992fc399f445590f304cdacded107c3439715",
+    (0, 6, 2): "2f7712f7d05eb9f2e5ca0c487c402ff6c5d2277f9fdb26102f4aad6aca00dd7d",
+    (0, 7, 1): "aa1cbc523e44ec2b8093e491529dd97613abc6757158306270aaaa21a2ca15ee",
+    (1, 1, 5): "7bb84cb834bb041085c277cb485664669c3d31c763262dc7b347d77b6b19ff22",
+    (1, 2, 4): "429a7fd2b98c3ea43ee0b45af06ef8ad1c67f3c33c034708c594b217a7de36a1",
+    (1, 3, 3): "d083213c0aefdd9c91111b4ac163f90445c8a93153b049c05778412a5a56f305",
+    (1, 4, 2): "b8bc08640b3ba0bb770c3a34c54ce4bce4f253d38d7b1adcf7da8bee832ee1e0",
+    (1, 5, 1): "8ff589e6b65c582777fcd001a8ee8cffc7fc9ad964f97d2bf530e2cc2aeaebb2",
+    (2, 1, 3): "f1d095cc39c06c50c707de0f8be458773d76f6f163cded44703e43c5c2dd1a30",
+    (2, 2, 2): "92a33dbe01e6b1f024dbc5f322a4e45ff42fb47b167e33d59310a2a5f6cd9bac",
+    (2, 3, 1): "cfb459613af8518c4316014a03acf0517bb2904378c68e8e110eb38ff6435fc2",
+    (3, 1, 1): "8809930d5f4052661940455a4ae2180f17d149320493c2c4eb0d0978a95903a8",
+}
+
+
 class TestEnumeration:
     def test_single_edge(self):
         classes = enumerate_graphs(0, 1, 1)
@@ -201,6 +310,17 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             enumerate_graphs(3, 2, 2)  # would need 9 edges
+
+    @pytest.mark.parametrize("g, k, l", [f for n in range(1, 7) for f in families(n)])
+    def test_matches_reference_enumeration(self, g, k, l):
+        # every family with <= 6 edges, the symmetric (1,1,1), (2,1,1) and
+        # (2,1,2) among them: same classes, same order, same |Aut|
+        assert enumerate_graphs(g, k, l) == reference_enumerate_graphs(g, k, l)
+
+    @pytest.mark.parametrize("g, k, l", sorted(ENUMERATION_DIGESTS_AT_7))
+    def test_seven_edges_pinned(self, g, k, l):
+        text = repr(enumerate_graphs(g, k, l))
+        assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_DIGESTS_AT_7[g, k, l]
 
     @pytest.mark.parametrize("g, k, l", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 2, 2)])
     def test_orbit_sizes_account_for_all_labeled_structures(self, g, k, l):
@@ -245,7 +365,7 @@ class TestCountMetrics:
         for tree, _ in enumerate_graphs(0, 2, 2):
             black, white = [0, 0], [0, 0]
             for e, w in enumerate(tree_weights(tree, point)):
-                b, wl = tree.edge_endpoints(e)
+                b, wl = tree.black_labels[e], tree.white_labels[e]
                 black[b - 1] += w
                 white[wl - 1] += w
             assert PerimeterPair(tuple(black), tuple(white)) == point
@@ -320,7 +440,7 @@ class TestTreeWeights:
     def test_path_example(self):
         # the path with edges b2-w2, b1-w2, b1-w1 at (5,1;4,2) carries (1,1,4)
         for tree, _ in enumerate_graphs(0, 2, 2):
-            ends = [tree.edge_endpoints(e) for e in range(3)]
+            ends = list(zip(tree.black_labels, tree.white_labels))
             if sorted(ends) == [(1, 1), (1, 2), (2, 2)]:
                 weights = dict(zip(ends, tree_weights(tree, PerimeterPair((5, 1), (4, 2)))))
                 assert weights[(2, 2)] == 1
