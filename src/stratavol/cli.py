@@ -79,8 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=VERIFY_SUITES)
-    p_ver.add_argument("--max-squares", type=int, default=6)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--max-squares", type=int, default=None,
+                       help="oracle-sts and all only; default 6")
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="oracle-p and all only; default 0")
     _add_common(p_ver)
 
     return parser
@@ -262,6 +264,8 @@ def cmd_count(args, out) -> int:
         raise _Refused("count trees is the genus-0 family; --genus must be 0")
     if args.max_squares is not None:
         raise _Refused(f"count {args.kind} does not read --max-squares")
+    if args.kind == "trees" and sum(black) != sum(white):
+        raise _Refused("perimeters must balance: sum L = sum L'")
     point = PerimeterPair(black, white)
     if args.kind == "ribbon":
         _check_ribbon_work(genus, black, white)
@@ -286,7 +290,13 @@ def _oracle_p_check(seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args, out) -> int:
-    _check_max_squares(args.max_squares)
+    for flag, value, reader in (("--max-squares", args.max_squares, "oracle-sts"),
+                                ("--seed", args.seed, "oracle-p")):
+        if value is not None and args.suite not in (reader, "all"):
+            raise _Refused(f"verify {args.suite} does not read {flag}")
+    max_squares = 6 if args.max_squares is None else args.max_squares
+    seed = 0 if args.seed is None else args.seed
+    _check_max_squares(max_squares)
     checks: list[tuple[str, object]] = []
     if args.suite in ("bivariate", "all"):
         checks.append(
@@ -304,15 +314,15 @@ def cmd_verify(args, out) -> int:
             ("walls", lambda: (ribbon.verify_wall_constancy(), "cells of V_2, V_3"))
         )
     if args.suite in ("oracle-p", "all"):
-        checks.append(("oracle-p", lambda: _oracle_p_check(args.seed)))
+        checks.append(("oracle-p", lambda: _oracle_p_check(seed)))
     if args.suite in ("oracle-sts", "all"):
         checks.append(
             (
                 "oracle-sts",
                 lambda: (
-                    sts.verify_cylinder_formula(1, args.max_squares)
-                    and sts.verify_cylinder_formula(2, args.max_squares),
-                    f"g <= 2, N <= {args.max_squares}",
+                    sts.verify_cylinder_formula(1, max_squares)
+                    and sts.verify_cylinder_formula(2, max_squares),
+                    f"g <= 2, N <= {max_squares}",
                 ),
             )
         )

@@ -8,9 +8,10 @@ image of ``i``.  Composition follows the function convention:
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import permutations as _all_permutations
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
@@ -21,7 +22,7 @@ def identity(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (compose(p, q))(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -173,27 +174,34 @@ def centralizer_generators(p: Perm) -> list[Perm]:
     return gens
 
 
-def centralizer_elements(p: Perm) -> Iterator[Perm]:
+def centralizer_elements(p: Perm) -> Iterable[Perm]:
     """All elements of the centralizer of p in S_n.
 
-    The identity centralizer is all of S_n; otherwise the subgroup is
-    enumerated by breadth-first closure over the generators (fine at the
-    desk scales used here).
+    The identity centralizer is all of S_n, returned as a lazy
+    ``itertools.permutations``.  Any other centralizer is a cached tuple
+    in breadth-first order from the identity.
     """
-    n = len(p)
-    if p == identity(n):
-        yield from _all_permutations(range(n))
-        return
+    if p == identity(len(p)):
+        return _all_permutations(range(len(p)))
+    return _centralizer_closure(p)
+
+
+@cache
+def _centralizer_closure(p: Perm) -> tuple[Perm, ...]:
+    """Breadth-first closure of the identity under the generators of Z(p).
+
+    Raises AssertionError unless the closure has centralizer_order
+    elements.
+    """
     gens = centralizer_generators(p)
-    seen = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for elem in frontier:
-            for g in gens:
-                prod = compose(g, elem)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    yield from seen
+    elems = [identity(len(p))]
+    seen = set(elems)
+    for elem in elems:
+        for g in gens:
+            moved = compose(g, elem)
+            if moved not in seen:
+                seen.add(moved)
+                elems.append(moved)
+    if len(elems) != centralizer_order(cycle_type(p)):
+        raise AssertionError("centralizer closure does not have the centralizer order")
+    return tuple(elems)

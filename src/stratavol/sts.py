@@ -5,14 +5,18 @@ A surface with N unit squares is a pair of permutations of {0,..,N-1}:
 upper neighbor.  The pair must act transitively (connected surface).
 Surfaces are counted up to simultaneous conjugation (square relabeling).
 
-Enumeration: sigma_h runs over one permutation per cycle type.  For
-g >= 2 the condition [sigma_v, sigma_h] = c, c a (2g-1)-cycle, is the
-same as sigma_v sigma_h sigma_v^{-1} = c sigma_h.  So sigma_v is built,
-never searched for: for every (2g-1)-cycle c with c sigma_h of the cycle
-type of sigma_h, the solutions form the coset pi_0 Z(sigma_h), where
-pi_0 is any permutation conjugating sigma_h to c sigma_h, and the
-transitive members of that coset are the surfaces.  For g = 1 they are
-the transitive members of Z(sigma_h) itself.
+Enumeration: sigma_h runs over one permutation per cycle type.  The
+vertex permutation c = [sigma_v, sigma_h] is a (2g-1)-cycle for g >= 2
+and the identity for g = 1, and the condition is the same as
+sigma_v sigma_h sigma_v^{-1} = c sigma_h.  So sigma_v is built, never
+searched for: for every such c with c sigma_h of the cycle type of
+sigma_h, the solutions form the coset pi_0 Z(sigma_h), where pi_0 is any
+permutation conjugating sigma_h to c sigma_h (for g = 1 the coset is
+Z(sigma_h) itself).  Conjugating sigma_v by Z(sigma_h) relabels the
+squares and keeps sigma_h, so the classes with this sigma_h are the
+Z(sigma_h)-orbits of the transitive coset members.  A member is kept iff
+it is the least of its Z(sigma_h)-conjugates, as in orderly generation
+(Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26 (1998)).
 
 The vertex permutation acts on bottom-left corners: rotating a full turn
 counterclockwise around the corner of square x visits the squares
@@ -39,14 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator
 
 from .permutation import (
     Perm,
     centralizer_elements,
-    centralizer_generators,
-    centralizer_order,
     compose,
     conjugate,
     conjugator,
@@ -184,21 +187,14 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
 # ---------------------------------------------------------------------------
 
 def _cycles_of_length(n: int, m: int) -> Iterator[Perm]:
-    """Every m-cycle of S_n (m >= 2), each built from its least element."""
-
-    def extend(path: tuple[int, ...]) -> Iterator[Perm]:
-        if len(path) == m:
+    """Every m-cycle of S_n (m >= 2), each written from its least element."""
+    for first, *rest in combinations(range(n), m):
+        for tail in permutations(rest):
+            path = (first, *tail)
             img = list(range(n))
             for a, b in zip(path, path[1:] + path[:1]):
                 img[a] = b
             yield tuple(img)
-            return
-        for x in range(path[0] + 1, n):
-            if x not in path:
-                yield from extend(path + (x,))
-
-    for first in range(n - m + 1):
-        yield from extend((first,))
 
 
 @cache
@@ -206,17 +202,17 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     """Conjugacy classes of admissible pairs with exactly n_squares squares.
 
     Returns (representative, |Aut|) with |Aut| the centralizer order of
-    the pair.  sigma_h runs over one representative per cycle type.  For
-    g >= 2 the vertex permutation c must be a (2g-1)-cycle, and
-    sigma_v sigma_h sigma_v^-1 = c sigma_h; so each (2g-1)-cycle c with
-    c sigma_h of the cycle type of sigma_h contributes the transitive
-    members of the coset pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h,
-    c sigma_h), and every other c contributes none.  For g = 1 the
-    candidates are the transitive members of Z(sigma_h).  The candidates
-    split into orbits under conjugation by Z(sigma_h), found by closure
-    over its generators; each orbit is represented by its least element.
-    Every representative's vertex permutation is checked to have the
-    cycle type of the stratum (AssertionError otherwise).
+    the pair, sorted by (sigma_h, sigma_v).  sigma_h runs over one
+    representative per cycle type.  The vertex permutation c is a
+    (2g-1)-cycle for g >= 2 and the identity for g = 1, and
+    sigma_v sigma_h sigma_v^-1 = c sigma_h; so each such c with c sigma_h
+    of the cycle type of sigma_h contributes the coset pi_0 Z(sigma_h),
+    pi_0 = conjugator(sigma_h, c sigma_h), and every other c contributes
+    none.  A transitive coset member sigma_v is kept iff no y in
+    Z(sigma_h) conjugates it to a smaller permutation; |Aut| is the
+    number of y that fix it.  Every representative's vertex permutation
+    is checked to have the cycle type of the stratum (AssertionError
+    otherwise).
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -226,60 +222,36 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
         return []
 
     stratum_type = (2 * g - 1,) + (1,) * (n_squares - 2 * g + 1)
-    vertex_cycles = list(_cycles_of_length(n_squares, 2 * g - 1)) if g > 1 else []
+    if g > 1:
+        vertex_perms = list(_cycles_of_length(n_squares, 2 * g - 1))
+    else:
+        vertex_perms = [identity(n_squares)]
     out: list[tuple[SquareTiledSurface, int]] = []
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
-        z_order = centralizer_order(ctype)
-        if g == 1:
-            # The vertex permutation is trivial iff the pair commutes.
-            candidates = {
-                sv for sv in centralizer_elements(sh) if is_transitive(sh, sv)
-            }
-        elif sh == identity(n_squares):
-            # sigma_v commutes with the identity: no cone point.
-            continue
-        else:
-            centralizer = list(centralizer_elements(sh))
-            candidates = set()
-            for c in vertex_cycles:
-                target = compose(c, sh)
-                if cycle_type(target) != ctype:
+        cosets = [
+            conjugator(sh, compose(c, sh))
+            for c in vertex_perms
+            if cycle_type(compose(c, sh)) == ctype
+        ]
+        for pi_0 in cosets:
+            for z in centralizer_elements(sh):
+                sv = compose(pi_0, z)
+                if not is_transitive(sh, sv):
                     continue
-                pi_0 = conjugator(sh, target)
-                for z in centralizer:
-                    sv = compose(pi_0, z)
-                    if is_transitive(sh, sv):
-                        candidates.add(sv)
-        gens = centralizer_generators(sh)
-        if not gens:
-            gens = [identity(n_squares)]
-        for start in sorted(candidates):
-            if start not in candidates:
-                continue
-            # Every smaller candidate lies in an orbit already found, so
-            # start is the smallest element of its own orbit.
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for sv in frontier:
-                    for gen in gens:
-                        moved = conjugate(gen, sv)
-                        if moved not in orbit:
-                            orbit.add(moved)
-                            nxt.append(moved)
-                frontier = nxt
-            candidates -= orbit
-            aut, remainder = divmod(z_order, len(orbit))
-            if remainder:
-                raise AssertionError("orbit size does not divide the centralizer order")
-            surface = SquareTiledSurface(sh, start)
-            if cycle_type(surface.vertex_permutation()) != stratum_type:
-                raise AssertionError(
-                    f"census class outside the minimal stratum of genus {g}"
-                )
-            out.append((surface, aut))
+                aut = 0
+                for y in centralizer_elements(sh):
+                    image = conjugate(y, sv)
+                    if image < sv:
+                        break
+                    aut += image == sv
+                else:
+                    surface = SquareTiledSurface(sh, sv)
+                    if cycle_type(surface.vertex_permutation()) != stratum_type:
+                        raise AssertionError(
+                            f"census class outside the minimal stratum of genus {g}"
+                        )
+                    out.append((surface, aut))
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
 

@@ -235,6 +235,18 @@ class TestCount:
     def test_unread_flags_refused(self, argv, message, capsys):
         assert_refused(argv, message, capsys)
 
+    def test_trees_unbalanced_refused(self, capsys):
+        # no tree metric lies off sum L = sum L'; count ribbon prints 0 there
+        assert_refused(
+            ["count", "trees", "--black-perimeters", "3", "--white-perimeters", "2"],
+            "perimeters must balance: sum L = sum L'",
+            capsys,
+        )
+        code, text = run_cli(
+            ["count", "ribbon", "--black-perimeters", "3", "--white-perimeters", "2"]
+        )
+        assert code == 0 and text == "0\n"
+
 
 class TestVerify:
     def test_fast_suites_pass(self):
@@ -269,6 +281,28 @@ class TestVerify:
                     "--max-squares must be >= 1",
                     capsys,
                 )
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [
+            ("bivariate", "--max-squares"),
+            ("multivariate", "--max-squares"),
+            ("walls", "--max-squares"),
+            ("oracle-p", "--max-squares"),
+            ("bivariate", "--seed"),
+            ("multivariate", "--seed"),
+            ("walls", "--seed"),
+            ("oracle-sts", "--seed"),
+        ],
+    )
+    def test_unread_flags_refused(self, suite, flag, capsys, monkeypatch):
+        # refused before any suite runs
+        monkeypatch.setattr(
+            volumes, "verify_bivariate_relation", lambda g: pytest.fail("suite ran")
+        )
+        assert_refused(
+            ["verify", suite, flag, "3"], f"verify {suite} does not read {flag}", capsys
+        )
 
     def test_failed_identity_exits_one(self, monkeypatch):
         monkeypatch.setattr(volumes, "verify_bivariate_relation", lambda g: False)

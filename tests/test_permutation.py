@@ -1,7 +1,10 @@
+import io
 from itertools import permutations
 
 import pytest
 
+from stratavol import permutation
+from stratavol.cli import main
 from stratavol.permutation import (
     centralizer_elements,
     centralizer_generators,
@@ -18,6 +21,7 @@ from stratavol.permutation import (
     is_transitive,
     partitions,
 )
+from stratavol.sts import enumerate_sts
 
 
 def test_compose_applies_right_first():
@@ -71,6 +75,39 @@ def test_centralizer_elements_match_order_and_commute(ctype):
     n = len(p)
     brute = {z for z in permutations(range(n)) if compose(z, p) == compose(p, z)}
     assert elems == brute
+
+
+def test_centralizer_elements_sequence():
+    # identity first, no repeats, and the same sequence on every call
+    for n in range(1, 7):
+        for ctype in partitions(n):
+            p = from_cycle_type(ctype)
+            elems = list(centralizer_elements(p))
+            assert elems[0] == identity(n)
+            assert len(set(elems)) == len(elems) == centralizer_order(ctype)
+            assert list(centralizer_elements(p)) == elems
+
+
+def test_centralizer_closure_checks_its_order(monkeypatch, capsys):
+    # without its last generator the closure is a proper subgroup of Z(p)
+    generators = permutation.centralizer_generators
+    monkeypatch.setattr(permutation, "centralizer_generators", lambda p: generators(p)[:-1])
+    permutation._centralizer_closure.cache_clear()
+    enumerate_sts.cache_clear()
+    try:
+        for n in range(2, 7):
+            for ctype in partitions(n):
+                if ctype != (1,) * n:
+                    with pytest.raises(AssertionError, match="centralizer order"):
+                        centralizer_elements(from_cycle_type(ctype))
+        out = io.StringIO()
+        assert main(["count", "sts", "--genus", "2", "--max-squares", "5"], out=out) == 3
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+    finally:
+        permutation._centralizer_closure.cache_clear()
+        enumerate_sts.cache_clear()
 
 
 def test_generators_lie_in_centralizer():

@@ -30,8 +30,11 @@ from stratavol.sts import (
     zero_profile,
 )
 
-# SHA-256 of repr(enumerate_sts(g, 8)), computed by the S_N scan.
+# SHA-256 of repr(enumerate_sts(g, 8)): g = 2, 3 computed by the S_N scan,
+# g = 1 by the orbit closure over the transitive members of Z(sigma_h) that
+# the torus census used before it took the coset path.
 CENSUS_DIGESTS_AT_8 = {
+    1: "d66598f94d82104c3869af9090138bf9fa497baa601a13a03d33c85d8c7a9bfb",
     2: "3aa79ebf080fba79389e78af38e05cc6d6f41c8c26bbd4b10de3d12dbe2fb661",
     3: "643dede9ae683cebf9c04e36743c00280cee662d6f29b420d748ed14091d7a8d",
 }
@@ -177,7 +180,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "g, n_squares",
-        [(g, n) for g in (2, 3, 4) for n in range(2 * g - 1, 8)],
+        [(g, n) for g in (1, 2, 3, 4) for n in range(2 * g - 1, 8)],
     )
     def test_coset_census_matches_scan(self, g, n_squares):
         assert enumerate_sts(g, n_squares) == reference_enumerate_sts(g, n_squares)
