@@ -35,10 +35,11 @@ from .scalars import format_rational
 GMAX_LIMIT = 10
 WEIGHT_LIMIT = 20
 ORDER_LIMIT = 20
-# Lattice points `count ribbon` may visit.  Each graph class scans at most
-# max(perimeter)^(2g-1) values of its first 2g - 1 free edges and counts the
-# last one in closed form, so the bound classes * max(perimeter)^(2g) used
-# below is conservative.
+# Lattice points `count ribbon` may visit.  The family sum runs over the
+# labeled edge multisets, which are at most as many as the graph classes,
+# and each scans at most max(perimeter)^(2g-1) values of its first 2g - 1
+# free edges and counts the last one in closed form.  So the bound
+# classes * max(perimeter)^(2g) used below is conservative twice over.
 RIBBON_WORK_LIMIT = 10**6
 
 VERIFY_SUITES = ("bivariate", "multivariate", "walls", "oracle-p", "oracle-sts", "all")
@@ -152,6 +153,8 @@ def _check_max_squares(n: int) -> None:
 
 
 def cmd_volumes(args, out) -> int:
+    if args.gmax < 1:
+        raise _Refused("--gmax must be >= 1")
     if args.gmax > GMAX_LIMIT:
         raise _Refused(f"--gmax is capped at {GMAX_LIMIT}")
     rows = []
@@ -175,6 +178,8 @@ def cmd_volumes(args, out) -> int:
 
 
 def cmd_pnumbers(args, out) -> int:
+    if args.weight < 2:
+        raise _Refused("--weight must be >= 2")
     if args.weight > WEIGHT_LIMIT:
         raise _Refused(f"--weight is capped at {WEIGHT_LIMIT}")
     entries = []

@@ -25,6 +25,11 @@ permutation, then keeps a labeling of its vertices iff no rotation fixing
 rho_black maps it to a smaller labeling.  |Aut| of a class is the number of
 rotations that fix both rho_black and the labeling.
 
+The metric count of a graph depends only on its labeled edge multiset, the
+(black label, white label) pairs of its edges, and not on the cyclic
+orders.  So every family sum, metric counts and positive trees alike, runs
+over the multisets, each weighted by the sum of 1/|Aut| over its classes.
+
 A linear form on H_{k,l} with coefficients 0, 1 on the black perimeters and
 0, -1 on the white ones is an ``int`` bit mask over the k + l vertices: bit
 i < k stands for +L_{i+1} and bit k + j for -L'_{j+1}.  ``_form_values(p)``
@@ -300,22 +305,19 @@ def _form_values(p: PerimeterPair) -> list:
     return values
 
 
-@cache
-def _spanning_tree(graph: RibbonGraph):
-    """Spanning-tree data for metric counting on one graph.
+def _spanning_tree(edges: tuple[tuple[int, int], ...]):
+    """Spanning-tree data for metric counting on one labeled edge list.
 
-    Returns (forms, free): ``forms`` maps each tree edge to its bridge form,
-    the vertex mask of the black endpoint's side of the tree minus that
-    edge; ``free`` lists the (black, white) vertex indices of the 2g edges
-    off the tree, with vertices 0..k-1 black and k..k+l-1 white.
+    ``edges`` lists the (black label, white label) pair of each edge.
+    Returns (forms, free): ``forms`` maps each tree edge's index to its
+    bridge form, the vertex mask of the black endpoint's side of the tree
+    minus that edge; ``free`` lists the (black, white) vertex indices of the
+    2g edges off the tree, with vertices 0..k-1 black and k..k+l-1 white.
     """
-    n_edges = graph.num_edges
-    k, l = graph.k, graph.l
-    ends = [
-        (graph.black_labels[e] - 1, k + graph.white_labels[e] - 1)
-        for e in range(n_edges)
-    ]
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(k + l)}
+    k = max(b for b, _ in edges)
+    n_vertices = k + max(w for _, w in edges)
+    ends = [(b - 1, k + w - 1) for b, w in edges]
+    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n_vertices)}
     for e, (b, w) in enumerate(ends):
         adjacency[b].append((w, e))
         adjacency[w].append((b, e))
@@ -327,31 +329,52 @@ def _spanning_tree(graph: RibbonGraph):
             if u not in parent_edge:
                 parent_edge[u] = e
                 order.append(u)
-    if len(order) != k + l:
+    if len(order) != n_vertices:
         raise ValueError("graph is not connected")
-    full = (1 << (k + l)) - 1
-    subtree = [1 << v for v in range(k + l)]
+    full = (1 << n_vertices) - 1
+    subtree = [1 << v for v in range(n_vertices)]
     forms = {}
     for v in reversed(order[1:]):
         e = parent_edge[v]
         b, w = ends[e]
         subtree[w if v == b else b] |= subtree[v]
         forms[e] = subtree[v] if v == b else full ^ subtree[v]
-    free = [ends[e] for e in range(n_edges) if e not in forms]
+    free = [ends[e] for e in range(len(ends)) if e not in forms]
     return forms, free
 
 
-def _count_metrics(graph: RibbonGraph, values: list) -> int:
+@cache
+def _multigraphs(g: int, k: int, l: int) -> dict:
+    """The (g, k, l) family folded onto its labeled edge multisets.
+
+    Maps each sorted tuple of (black label, white label) edge pairs to its
+    spanning-tree data and its weight, the sum of 1/|Aut| over the classes
+    with that multiset.  The metric count of a graph depends only on which
+    vertices its edges join, not on the cyclic orders, so a family sum over
+    classes equals the weighted sum over multisets.  A weight is an ``int``
+    when every class with its multiset has |Aut| = 1, as every tree has, so
+    tree counts stay exact ints.
+    """
+    weights: dict[tuple[tuple[int, int], ...], int | Fraction] = {}
+    for graph, aut in enumerate_graphs(g, k, l):
+        edges = tuple(sorted(zip(graph.black_labels, graph.white_labels)))
+        weights[edges] = weights.get(edges, 0) + (1 if aut == 1 else Fraction(1, aut))
+    return {edges: (_spanning_tree(edges), w) for edges, w in weights.items()}
+
+
+def _count_metrics(tree, values: list) -> int:
     """Metric count on one graph at a balanced positive point.
 
-    ``values`` is ``_form_values`` of the point.  A free edge e = (b, w)
-    with weight x_e takes x_e off both of its perimeters, so the weight of
-    the tree edge with form m is values[m] - sum_e c_{m,e} x_e, where
+    ``tree`` is the graph's ``_spanning_tree`` and ``values`` is
+    ``_form_values`` of the point.  A free edge e = (b, w) with weight x_e
+    takes x_e off both of its perimeters, so the weight of the tree edge
+    with form m is values[m] - sum_e c_{m,e} x_e, where
     c_{m,e} = [b in m] - [w in m] is 1, -1 or 0.  The first 2g - 1 free
     edges are scanned; on the last one each constraint is a lower or an
-    upper bound, so its admissible weights form an interval.
+    upper bound, so its admissible weights form an interval.  On a tree
+    the count is 1 iff every bridge form is positive, at any point.
     """
-    forms, free = _spanning_tree(graph)
+    forms, free = tree
     if not free:
         return int(all(values[m] > 0 for m in forms.values()))
     # values[1 << b] is L_{b+1} and values[1 << w] is -L'_{w-k+1}.
@@ -384,27 +407,25 @@ def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
         raise ValueError("perimeter arity does not match the graph")
     if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
         return 0
-    return _count_metrics(graph, _form_values(p))
+    edges = tuple(zip(graph.black_labels, graph.white_labels))
+    return _count_metrics(_spanning_tree(edges), _form_values(p))
 
 
 def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
     """Automorphism-weighted metric count over the whole (g, k, l) family.
 
-    An unbalanced point, or one with a perimeter below 1, admits no
-    positive metric on any graph, so it gives 0 before the family is
-    enumerated.
+    The sum runs over the family's labeled edge multisets, each with its
+    weight; see ``_multigraphs``.  An unbalanced point, or one with a
+    perimeter below 1, admits no positive metric on any graph, so it gives
+    0 before the family is enumerated.
     """
     if len(p.black) != k or len(p.white) != l:
         raise ValueError("perimeter arity does not match the graph")
     if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
         return Fraction(0)
     values = _form_values(p)
-    total = Fraction(0)
-    for graph, aut in enumerate_graphs(g, k, l):
-        n = _count_metrics(graph, values)
-        if n:
-            total += Fraction(n, aut)
-    return total
+    folded = _multigraphs(g, k, l).values()
+    return Fraction(sum(w * _count_metrics(tree, values) for tree, w in folded))
 
 
 def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
@@ -417,25 +438,20 @@ def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
         raise ValueError("tree_weights requires a genus-0 graph")
     if not p.is_balanced():
         raise ValueError("perimeters must balance: sum L = sum L'")
-    forms, _ = _spanning_tree(tree)
+    forms, _ = _spanning_tree(tuple(zip(tree.black_labels, tree.white_labels)))
     values = _form_values(p)
     return tuple(values[forms[e]] for e in range(tree.num_edges))
-
-
-@cache
-def _tree_forms(k: int, l: int) -> list[tuple[int, ...]]:
-    """The bridge-form masks of every tree of the (0, k, l) family."""
-    return [tuple(_spanning_tree(graph)[0].values()) for graph, _ in enumerate_graphs(0, k, l)]
 
 
 def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
     """Number of trees of the (0, k, l) family positive at the given point.
 
     Perimeters may be arbitrary rationals; only the signs of the induced
-    edge weights matter.
+    edge weights matter.  Each tree class has |Aut| = 1, so every weight is
+    an int and so is the count.
     """
-    positive = [v > 0 for v in _form_values(p)]
-    return sum(all(map(positive.__getitem__, masks)) for masks in _tree_forms(k, l))
+    values = _form_values(p)
+    return sum(w * _count_metrics(tree, values) for tree, w in _multigraphs(0, k, l).values())
 
 
 # ---------------------------------------------------------------------------

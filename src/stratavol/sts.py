@@ -50,6 +50,7 @@ from typing import Iterator
 from .permutation import (
     Perm,
     centralizer_elements,
+    centralizer_order,
     compose,
     conjugate,
     conjugator,
@@ -211,8 +212,10 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     none.  A transitive coset member sigma_v is kept iff no y in
     Z(sigma_h) conjugates it to a smaller permutation; |Aut| is the
     number of y that fix it.  Every representative's vertex permutation
-    is checked to have the cycle type of the stratum (AssertionError
-    otherwise).
+    is checked to have the cycle type of the stratum, and for g >= 2 every
+    |Aut| to be 1 and the kept classes of each sigma_h times
+    |Z(sigma_h)| to be its number of transitive coset members
+    (AssertionError otherwise).
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -234,11 +237,13 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
             for c in vertex_perms
             if cycle_type(compose(c, sh)) == ctype
         ]
+        members, first_kept = 0, len(out)
         for pi_0 in cosets:
             for z in centralizer_elements(sh):
                 sv = compose(pi_0, z)
                 if not is_transitive(sh, sv):
                     continue
+                members += 1
                 aut = 0
                 for y in centralizer_elements(sh):
                     image = conjugate(y, sv)
@@ -252,6 +257,18 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
                             f"census class outside the minimal stratum of genus {g}"
                         )
                     out.append((surface, aut))
+        # For g >= 2 a translation automorphism fixes the one zero, and no
+        # cyclic cover is branched over one point, so every class has
+        # |Aut| = 1 and its Z(sigma_h)-orbit has |Z(sigma_h)| members.
+        kept = out[first_kept:]
+        if g > 1 and (
+            any(aut != 1 for _, aut in kept)
+            or len(kept) * centralizer_order(ctype) != members
+        ):
+            raise AssertionError(
+                f"census of sigma_h {sh}: {len(kept)} classes with |Z| = "
+                f"{centralizer_order(ctype)} against {members} transitive coset members"
+            )
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
 

@@ -178,6 +178,15 @@ def test_criterion_12_top_terms_beyond_genus_one():
         poly = fit_ray_polynomial(2, 2, 2, PerimeterPair((2, 1), (2, 1)), 6)
         assert len(poly) - 1 == 4
         assert poly[-1] == Fraction(142, 3) == pgvn_polynomial(2, 2).evaluate((2, 1))
+        # two points of the diagonal wall of H_{2,2}, in its two open cells
+        cells = set()
+        for lengths, top in (((1, 3), Fraction(2153, 12)), ((5, 1), Fraction(13945, 12))):
+            point = PerimeterPair(lengths, lengths)
+            cells.add(_sign_pattern(2, 2, point))
+            poly = fit_ray_polynomial(2, 2, 2, point, 6)
+            assert len(poly) - 1 == 4
+            assert poly[-1] == top == pgvn_polynomial(2, 2).evaluate(lengths)
+        assert len(cells) == 2
         poly = fit_ray_polynomial(3, 1, 1, PerimeterPair((1,), (1,)), 8)
         assert len(poly) - 1 == 6
         assert poly[-1] == Fraction(1, 28) == pgvn_polynomial(3, 1).evaluate((1,))

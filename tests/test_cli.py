@@ -38,11 +38,6 @@ class TestVolumes:
         assert code == 0
         assert text.strip().splitlines()[1:] == ["1,1,1/24"]
 
-    def test_empty_table_success(self):
-        code, text = run_cli(["volumes", "--gmax", "0", "--format", "csv"])
-        assert code == 0
-        assert text.strip() == "g,n,a_gn"
-
     def test_json_contains_pi_powers(self):
         code, text = run_cli(["volumes", "--gmax", "1", "--format", "json"])
         rows = json.loads(text)
@@ -50,6 +45,13 @@ class TestVolumes:
 
     def test_gmax_guard(self, capsys):
         assert_refused(["volumes", "--gmax", "11"], "--gmax is capped at 10", capsys)
+
+    @pytest.mark.parametrize("gmax", ["0", "-3"])
+    def test_gmax_below_one_refused(self, gmax, capsys):
+        # the table starts at g = 1, so it would be only a header
+        assert_refused(
+            ["volumes", "--gmax", gmax, "--format", "csv"], "--gmax must be >= 1", capsys
+        )
 
     def test_determinism(self):
         first = run_cli(["volumes", "--gmax", "3", "--format", "json"])
@@ -69,10 +71,12 @@ class TestPnumbers:
         code, text = run_cli(["pnumbers", "--weight", "2", "--format", "json"])
         assert json.loads(text) == [{"parts": [2], "value": "1"}]
 
-    def test_weight_one_empty(self):
-        code, text = run_cli(["pnumbers", "--weight", "1", "--format", "json"])
-        assert code == 0
-        assert json.loads(text) == []
+    @pytest.mark.parametrize("weight", ["1", "0", "-4"])
+    def test_weight_below_two_refused(self, weight, capsys):
+        # no p-number has weight below 2, so the table would be empty
+        assert_refused(
+            ["pnumbers", "--weight", weight, "--format", "json"], "--weight must be >= 2", capsys
+        )
 
     def test_weight_guard(self, capsys):
         assert_refused(["pnumbers", "--weight", "22"], "--weight is capped at 20", capsys)

@@ -1,8 +1,9 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -22,7 +23,7 @@ from stratavol.ribbon import (
     verify_wall_constancy,
     wall_sample_point,
 )
-from stratavol.ribbon import _all_forms, _sign_pattern, _spanning_tree
+from stratavol.ribbon import _all_forms, _multigraphs, _sign_pattern
 
 
 def block_walls(max_size=4):
@@ -237,6 +238,34 @@ def reference_enumerate_graphs(g, k, l):
     return classes
 
 
+# The per-class family sums that the fold onto labeled edge multisets
+# replaced, kept here as the reference only: every class of the family is
+# counted on its own, through the public per-graph functions.
+
+
+def reference_counting_function(g, k, l, p):
+    return sum(
+        (Fraction(count_metrics(graph, p), aut) for graph, aut in enumerate_graphs(g, k, l)),
+        Fraction(0),
+    )
+
+
+def reference_positive_trees(k, l, p):
+    return sum(
+        all(x > 0 for x in tree_weights(tree, p)) for tree, _ in enumerate_graphs(0, k, l)
+    )
+
+
+def balanced_points(k, l, max_side):
+    """Every positive integer point with sum L = sum L' <= max_side."""
+    return [
+        PerimeterPair(black, white)
+        for side in range(max(k, l), max_side + 1)
+        for black in compositions(side, k)
+        for white in compositions(side, l)
+    ]
+
+
 def families(n_edges):
     """Every (g, k, l) whose graphs have n_edges edges."""
     return [
@@ -423,13 +452,22 @@ class TestCountingFunction:
         ],
     )
     def test_infeasible_point_skips_family(self, point):
-        before = (enumerate_graphs.cache_info(), _spanning_tree.cache_info())
+        before = (enumerate_graphs.cache_info(), _multigraphs.cache_info())
         assert counting_function(0, 4, 5, point) == 0
-        assert (enumerate_graphs.cache_info(), _spanning_tree.cache_info()) == before
+        assert (enumerate_graphs.cache_info(), _multigraphs.cache_info()) == before
 
     def test_arity_checked_first(self):
         with pytest.raises(ValueError, match="arity"):
             counting_function(0, 4, 5, PerimeterPair((9, 9, 9), (9, 9, 9, 9, 9)))
+
+    @pytest.mark.parametrize("g, k, l", [f for n in range(1, 7) for f in families(n)])
+    def test_matches_per_class_sum(self, g, k, l):
+        # the multiset fold against the sum over every class, at every
+        # positive balanced point with side sum <= 5, walls included
+        for point in balanced_points(k, l, 5):
+            assert counting_function(g, k, l, point) == reference_counting_function(
+                g, k, l, point
+            ), point
 
 
 class TestTreeWeights:
@@ -472,6 +510,36 @@ class TestPositiveTrees:
     def test_rational_points_allowed(self):
         point = PerimeterPair((Fraction(7, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(3, 2)))
         assert count_positive_trees(2, 2, point) == 2
+        assert reference_positive_trees(2, 2, point) == 2
+
+    @pytest.mark.parametrize("k, l", list(product(range(1, 5), repeat=2)))
+    def test_matches_per_class_count(self, k, l):
+        for seed in range(3):
+            point = wall_sample_point(Wall.full_space(k, l), seed=seed)
+            count = count_positive_trees(k, l, point)
+            assert type(count) is int
+            assert count == reference_positive_trees(k, l, point), (seed, point)
+
+
+class TestMultigraphs:
+    def test_tree_weights_count_plane_embeddings(self):
+        # A labeled tree has prod_v (deg v - 1)! plane embeddings, each one
+        # class with |Aut| = 1, so that product is its weight; and the
+        # multisets are the k^(l-1) l^(k-1) spanning trees of K_{k,l}.
+        # Every genus-0 family with <= 7 edges: k + l <= 8.
+        total = 0
+        for k, l in product(range(1, 8), repeat=2):
+            if k + l > 8:
+                continue
+            folded = _multigraphs(0, k, l)
+            assert len(folded) == k ** (l - 1) * l ** (k - 1)
+            for edges, (_, weight) in folded.items():
+                degrees = Counter(("b", b) for b, _ in edges)
+                degrees.update(("w", w) for _, w in edges)
+                expected = prod(factorial(d - 1) for d in degrees.values())
+                assert type(weight) is int and weight == expected, edges
+            total += len(folded)
+        assert total == 9740
 
 
 class TestWallSampling:

@@ -208,6 +208,17 @@ class TestEnumeration:
         finally:
             enumerate_sts.cache_clear()
 
+    def test_orbit_count_check(self, monkeypatch):
+        # a scan that never finds a smaller conjugate keeps every transitive
+        # coset member, so the classes overcount the Z(sigma_h)-orbits
+        monkeypatch.setattr(sts, "conjugate", lambda y, p: p)
+        enumerate_sts.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="transitive coset members"):
+                enumerate_sts(2, 5)
+        finally:
+            enumerate_sts.cache_clear()
+
 
 class TestCensus:
     def test_cumulative_torus_counts(self):
@@ -246,3 +257,7 @@ class TestCylinderFormula:
     def test_genus_two_deeper(self):
         # beyond the acceptance bound, as runtime permits
         assert verify_cylinder_formula(2, 7)
+
+    def test_genus_three(self):
+        # the identity at g = 3, every cylinder count n <= 3, N <= 8
+        assert verify_cylinder_formula(3, 8)
