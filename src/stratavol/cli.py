@@ -9,8 +9,8 @@ Subcommands
 * ``count``     one exact count: ribbon metrics, positive trees, or surfaces
 * ``verify``    the cross-validation suites; nonzero exit on any failure
 
-All exact values are printed as rational strings; ``--float`` adds a
-decimal column for display only.  Identical invocations produce
+All exact values are printed as rational strings; ``volumes --float``
+adds a decimal column for display only.  Identical invocations produce
 byte-identical output.
 
 A refused input exits with code 2 and a one-line ``error:`` message on
@@ -23,6 +23,7 @@ message, without a traceback.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -58,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vol = sub.add_parser("volumes", help="table of a_{g,n} and volumes")
     p_vol.add_argument("--gmax", type=int, default=4)
+    p_vol.add_argument("--float", action="store_true", dest="with_float",
+                       help="add a decimal display column")
     _add_common(p_vol)
 
     p_pn = sub.add_parser("pnumbers", help="even-index p-numbers up to a weight")
@@ -91,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    sub.add_argument("--float", action="store_true", dest="with_float",
-                     help="add a decimal display column")
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,9 @@ def _emit_rows(args, header: list[str], rows: list[dict], out) -> None:
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True), file=out)
     elif args.format == "csv":
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(str(row[h]) for h in header), file=out)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([row[h] for h in header] for row in rows)
     else:
         widths = [
             max(len(h), *(len(str(row[h])) for row in rows)) if rows else len(h)
@@ -273,7 +274,10 @@ def cmd_count(args, out) -> int:
         raise _Refused("perimeters must balance: sum L = sum L'")
     point = PerimeterPair(black, white)
     if args.kind == "ribbon":
-        _check_ribbon_work(genus, black, white)
+        # counting_function gives 0 at an unbalanced point, or one with a
+        # perimeter below 1, before it enumerates the family.
+        if point.is_balanced() and min(black + white) >= 1:
+            _check_ribbon_work(genus, black, white)
         value = ribbon.counting_function(genus, len(black), len(white), point)
         print(format_rational(value), file=out)
     else:
@@ -340,6 +344,8 @@ def cmd_verify(args, out) -> int:
         results.append({"check": name, "passed": passed, "detail": detail})
     if args.format == "json":
         print(json.dumps({"checks": results, "passed": all_passed}, sort_keys=True), file=out)
+    elif args.format == "csv":
+        _emit_rows(args, ["check", "passed", "detail"], results, out)
     else:
         for r in results:
             status = "ok" if r["passed"] else "FAIL"

@@ -41,7 +41,6 @@ from .permutation import multiplicity_factorial, partitions
 __all__ = [
     "p_value",
     "p_bw_value",
-    "WeightedMonomialSeries",
     "t_series",
     "exp_subscript_series",
     "verify_multivariate_relation",
@@ -125,101 +124,58 @@ def p_bw_value(b: tuple[int, ...], w: tuple[int, ...]) -> int:
 # Multivariate generating series
 # ---------------------------------------------------------------------------
 
-class WeightedMonomialSeries:
-    """Series in t whose coefficients are polynomials in t_2, t_3, ...
-
-    Every term built here carries the power of t equal to its subscript
-    weight, the sum of the subscripts of its t_i factors, and products keep
-    that so.  A term is therefore keyed by its sorted subscripts alone, and
-    the terms of subscript weight above weight are dropped.
-    """
-
-    __slots__ = ("weight", "terms")
-
-    def __init__(self, weight: int, terms: dict[tuple[int, ...], Fraction] | None = None) -> None:
-        if weight < 1:
-            raise ValueError("weight must be positive")
-        self.weight = weight
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for subs, c in terms.items():
-                self._add_term(subs, Fraction(c))
-
-    def _add_term(self, subs: tuple[int, ...], coeff: Fraction) -> None:
-        if coeff == 0 or sum(subs) > self.weight:
-            return
-        key = tuple(sorted(subs))
-        new = self.terms.get(key, Fraction(0)) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    @staticmethod
-    def one(weight: int) -> "WeightedMonomialSeries":
-        return WeightedMonomialSeries(weight, {(): Fraction(1)})
-
-    def __add__(self, other: "WeightedMonomialSeries") -> "WeightedMonomialSeries":
-        out = WeightedMonomialSeries(min(self.weight, other.weight), dict(self.terms))
-        for subs, c in other.terms.items():
-            out._add_term(subs, c)
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, WeightedMonomialSeries):
-            out = WeightedMonomialSeries(min(self.weight, other.weight))
-            for s1, c1 in self.terms.items():
-                for s2, c2 in other.terms.items():
-                    out._add_term(s1 + s2, c1 * c2)
-            return out
-        out = WeightedMonomialSeries(self.weight)
-        for subs, c in self.terms.items():
-            out._add_term(subs, c * other)
-        return out
-
-    __rmul__ = __mul__
-
-    def coefficient_of_t(self, k: int) -> dict[tuple[int, ...], Fraction]:
-        """Coefficient of t^k as a map subscript-multiset -> rational."""
-        return {subs: c for subs, c in self.terms.items() if sum(subs) == k}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedMonomialSeries):
-            return NotImplemented
-        return self.terms == other.terms
+def _subscripts(weight: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of 2..weight into parts >= 2, as a non-increasing key."""
+    for s in range(2, weight + 1):
+        for parts in partitions(s):
+            if parts[-1] >= 2:
+                yield parts
 
 
-def t_series(weight: int) -> WeightedMonomialSeries:
+def t_series(weight: int) -> dict[tuple[int, ...], Fraction]:
     """The generating series of the p-numbers, truncated to total weight.
 
-    The term at t^s carries (s-1) * p_{s_1,..,s_n} / (prod multiplicities!)
-    on the monomial t_{s_1}..t_{s_n}, for every partition of s into parts
-    >= 2 (this is the composition sum divided by n!, folded over equal
-    parts).
+    A series in t whose coefficients are polynomials in t_2, t_3, ... is a
+    dict from the non-increasing subscripts of a monomial to its rational
+    coefficient; every monomial carries the power of t equal to the sum of
+    its subscripts.  The term at t^s carries (s-1) * p_{s_1,..,s_n} /
+    (prod multiplicities!) on the monomial t_{s_1}..t_{s_n}, for every
+    partition of s into parts >= 2 (this is the composition sum divided by
+    n!, folded over equal parts).
     """
     if weight < 1:
         raise ValueError("weight must be positive")
-    series = WeightedMonomialSeries.one(weight)
-    for s in range(2, weight + 1):
-        for parts in partitions(s):
-            if parts[-1] < 2:
-                continue
-            coeff = Fraction(s - 1, multiplicity_factorial(parts)) * p_value(parts)
-            series._add_term(parts, coeff)
+    series = {(): Fraction(1)}
+    for parts in _subscripts(weight):
+        series[parts] = Fraction(sum(parts) - 1, multiplicity_factorial(parts)) * _p(parts)
     return series
 
 
-def exp_subscript_series(weight: int) -> WeightedMonomialSeries:
-    """exp(sum_{i>=2} t_i t^i) in the truncated monomial algebra."""
-    x = WeightedMonomialSeries(weight)
-    for i in range(2, weight + 1):
-        x._add_term((i,), Fraction(1))
-    result = WeightedMonomialSeries.one(weight)
-    power = WeightedMonomialSeries.one(weight)
-    for m in range(1, weight // 2 + 1):
-        power = power * x
-        result = result + power * Fraction(1, factorial(m))
-    return result
+def exp_subscript_series(weight: int) -> dict[tuple[int, ...], Fraction]:
+    """exp(sum_{i>=2} t_i t^i), truncated to total weight, keyed as in t_series.
+
+    The exponential is prod_i exp(t_i t^i), so the monomial prod_i t_i^{m_i}
+    has the coefficient 1 / prod_i m_i!.
+    """
+    if weight < 1:
+        raise ValueError("weight must be positive")
+    series = {(): Fraction(1)}
+    for parts in _subscripts(weight):
+        series[parts] = Fraction(1, multiplicity_factorial(parts))
+    return series
+
+
+def _times(
+    a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction], weight: int
+) -> dict[tuple[int, ...], Fraction]:
+    """The product a * b without its terms of total weight above weight."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for s1, c1 in a.items():
+        for s2, c2 in b.items():
+            if sum(s1) + sum(s2) <= weight:
+                key = tuple(sorted(s1 + s2, reverse=True))
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def verify_multivariate_relation(k_max: int, weight: int) -> bool:
@@ -228,14 +184,12 @@ def verify_multivariate_relation(k_max: int, weight: int) -> bool:
         raise ValueError("weight must be at least k_max")
     t_ser = t_series(weight)
     rhs = exp_subscript_series(weight)
-    power = WeightedMonomialSeries.one(weight)
+    power = {(): Fraction(1)}
     for k in range(k_max + 1):
         if k > 0:
-            power = power * t_ser
-        lhs_coeff = {
-            subs: c / factorial(k) for subs, c in power.coefficient_of_t(k).items()
-        }
-        if lhs_coeff != rhs.coefficient_of_t(k):
+            power = _times(power, t_ser, weight)
+        lhs_coeff = {s: c / factorial(k) for s, c in power.items() if sum(s) == k}
+        if lhs_coeff != {s: c for s, c in rhs.items() if sum(s) == k}:
             return False
     return True
 

@@ -142,39 +142,34 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
     n = surface.num_squares
     c = surface.vertex_permutation()
     row_list = cycles(sh)
-    if all(c[x] == x for x in range(n)):
-        # Torus case: the marked point is regular and every corner level is
-        # equivalent; the surface is one cylinder around any row.
-        length = len(row_list[0])
-        if any(len(row) != length for row in row_list):
-            raise AssertionError("trivial vertex permutation with uneven rows")
-        return CylinderDecomposition(((length, n // length),))
-
     row_of = [0] * n
     for idx, row in enumerate(row_list):
         for x in row:
             row_of[x] = idx
-    singular_below = [any(c[x] != x for x in row) for row in row_list]
 
     def top_is_singular(idx: int) -> bool:
         return any(c[sv[x]] != sv[x] for x in row_list[idx])
 
+    # On the torus no circle carries a cone point, sigma_v permutes the rows
+    # in one cycle, and the one stack starts at row 0 and ends below it.
+    starts = [idx for idx, row in enumerate(row_list) if any(c[x] != x for x in row)] or [0]
     covered = [False] * len(row_list)
     cylinders = []
-    for idx, row in enumerate(row_list):
-        if not singular_below[idx]:
-            continue
+    for start in starts:
+        width = len(row_list[start])
         height = 1
-        cur = idx
+        cur = start
         covered[cur] = True
         while not top_is_singular(cur):
             nxt = row_of[sv[row_list[cur][0]]]
-            if len(row_list[nxt]) != len(row) or covered[nxt]:
+            if nxt == start:
+                break
+            if len(row_list[nxt]) != width or covered[nxt]:
                 raise AssertionError("inconsistent cylinder stack")
             covered[nxt] = True
             cur = nxt
             height += 1
-        cylinders.append((len(row), height))
+        cylinders.append((width, height))
     if not all(covered):
         raise AssertionError("cylinder decomposition did not cover all rows")
     decomposition = CylinderDecomposition(tuple(sorted(cylinders)))

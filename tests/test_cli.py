@@ -1,9 +1,11 @@
+import csv
 import io
 import json
+import math
 
 import pytest
 
-from stratavol import volumes
+from stratavol import ribbon, volumes
 from stratavol.cli import _check_ribbon_work, main
 from stratavol.permutation import partitions
 from stratavol.pnum import p_value
@@ -52,6 +54,14 @@ class TestVolumes:
         assert_refused(
             ["volumes", "--gmax", gmax, "--format", "csv"], "--gmax must be >= 1", capsys
         )
+
+    def test_float_column(self):
+        code, text = run_cli(["volumes", "--gmax", "1", "--format", "csv", "--float"])
+        assert code == 0
+        header, row = text.splitlines()
+        assert header == "g,n,a_gn,vol_float"
+        assert row.startswith("1,1,1/24,")
+        assert float(row.split(",")[3]) == pytest.approx(math.pi**2 / 3)
 
     def test_determinism(self):
         first = run_cli(["volumes", "--gmax", "3", "--format", "json"])
@@ -239,6 +249,25 @@ class TestCount:
     def test_unread_flags_refused(self, argv, message, capsys):
         assert_refused(argv, message, capsys)
 
+    def test_infeasible_ribbon_point_skips_work_guard(self):
+        # an unbalanced 8-edge point gives 0 before its 176,400 classes are listed
+        before = ribbon.enumerate_graphs.cache_info()
+        code, text = run_cli(
+            ["count", "ribbon", "--genus", "0", "--black-perimeters", "9,9,9,9",
+             "--white-perimeters", "9,9,9,9,9"]
+        )
+        assert code == 0 and text == "0\n"
+        assert ribbon.enumerate_graphs.cache_info() == before
+
+    @pytest.mark.parametrize("black, white", [("40", "41"), ("5,-5", "0")])
+    def test_infeasible_ribbon_point_not_refused(self, black, white):
+        # unbalanced, or balanced with a perimeter below 1: no metric, no lattice point
+        code, text = run_cli(
+            ["count", "ribbon", "--genus", "3", "--black-perimeters", black,
+             "--white-perimeters", white]
+        )
+        assert code == 0 and text == "0\n"
+
     def test_trees_unbalanced_refused(self, capsys):
         # no tree metric lies off sum L = sum L'; count ribbon prints 0 there
         assert_refused(
@@ -259,6 +288,12 @@ class TestVerify:
         code, text = run_cli(["verify", "multivariate", "--format", "json"])
         assert code == 0
         assert json.loads(text)["passed"] is True
+
+    def test_csv_parses(self):
+        code, text = run_cli(["verify", "walls", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [["check", "passed", "detail"], ["walls", "True", "cells of V_2, V_3"]]
 
     def test_oracle_sts_small(self):
         code, text = run_cli(["verify", "oracle-sts", "--max-squares", "4"])
@@ -323,6 +358,30 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             run_cli(["volumes", "--frobnicate"])
         assert info.value.code == 2
+
+
+class TestFloatFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pnumbers", "--weight", "4"],
+            ["series", "--order", "4"],
+            ["count", "ribbon", "--genus", "1", "--black-perimeters", "4",
+             "--white-perimeters", "4"],
+            ["count", "sts", "--genus", "1", "--max-squares", "2"],
+            ["verify", "bivariate"],
+        ],
+    )
+    def test_unknown_outside_volumes(self, argv, capsys):
+        # only volumes reads --float; elsewhere it is an unknown flag
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--float"], out=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --float" in captured.err
 
 
 class TestOutsideState:

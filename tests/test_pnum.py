@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial, perm
 from typing import Iterator
 
@@ -190,16 +190,60 @@ class TestBlocks:
                     assert pnum._blocks(key, t) == value, (key, t)
 
 
+def coefficient_of_t(series, k):
+    """The terms of a subscript-keyed series that carry t^k."""
+    return {s: c for s, c in series.items() if sum(s) == k}
+
+
+def reference_times(a, b, weight):
+    """Product of two subscript-keyed series, dropping terms of weight above weight."""
+    out = {}
+    for (s1, c1), (s2, c2) in product(a.items(), b.items()):
+        key = tuple(sorted(s1 + s2, reverse=True))
+        if sum(key) <= weight:
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def reference_exp_series(weight):
+    """exp(x) as sum_{m <= weight/2} x^m / m! with x = sum_{i>=2} t_i t^i."""
+    x = {(i,): Fraction(1) for i in range(2, weight + 1)}
+    result = {(): Fraction(1)}
+    power = {(): Fraction(1)}
+    for m in range(1, weight // 2 + 1):
+        power = reference_times(power, x, weight)
+        for key, c in power.items():
+            result[key] = result.get(key, 0) + c / factorial(m)
+    return result
+
+
+def unfolded_t_series(weight):
+    """T as the sum over compositions of s into n parts >= 2 of (s-1) p / n!."""
+    series = {(): Fraction(1)}
+    for s in range(2, weight + 1):
+        for n in range(1, s // 2 + 1):
+            for comp in compositions(s, n):
+                if min(comp) >= 2:
+                    key = tuple(sorted(comp, reverse=True))
+                    term = Fraction((s - 1) * p_value(comp), factorial(n))
+                    series[key] = series.get(key, 0) + term
+    return series
+
+
 class TestTSeries:
     def test_constant_term(self):
-        assert t_series(4).coefficient_of_t(0) == {(): Fraction(1)}
+        assert coefficient_of_t(t_series(4), 0) == {(): Fraction(1)}
 
     def test_linear_coefficient(self):
-        assert t_series(4).coefficient_of_t(2) == {(2,): Fraction(1)}
+        assert coefficient_of_t(t_series(4), 2) == {(2,): Fraction(1)}
 
     def test_weight_four_coefficient(self):
-        c4 = t_series(4).coefficient_of_t(4)
+        c4 = coefficient_of_t(t_series(4), 4)
         assert c4 == {(4,): Fraction(6), (2, 2): Fraction(3, 2)}
+
+    @pytest.mark.parametrize("weight", range(1, 11))
+    def test_matches_unfolded_composition_sum(self, weight):
+        assert t_series(weight) == unfolded_t_series(weight)
 
 
 class TestMultivariateRelation:
@@ -209,7 +253,12 @@ class TestMultivariateRelation:
 
     def test_exp_side_normalization(self):
         rhs = exp_subscript_series(6)
-        assert rhs.coefficient_of_t(4) == {(4,): Fraction(1), (2, 2): Fraction(1, 2)}
+        assert coefficient_of_t(rhs, 4) == {(4,): Fraction(1), (2, 2): Fraction(1, 2)}
+
+    @pytest.mark.parametrize("weight", range(1, 13))
+    def test_exp_side_matches_power_sum(self, weight):
+        # the closed form 1 / prod m_i! against the truncated sum of x^m / m!
+        assert exp_subscript_series(weight) == reference_exp_series(weight)
 
     def test_full_weight_eight(self):
         assert verify_multivariate_relation(8, 8)
