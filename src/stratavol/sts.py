@@ -14,9 +14,16 @@ sigma_h, the solutions form the coset pi_0 Z(sigma_h), where pi_0 is any
 permutation conjugating sigma_h to c sigma_h (for g = 1 the coset is
 Z(sigma_h) itself).  Conjugating sigma_v by Z(sigma_h) relabels the
 squares and keeps sigma_h, so the classes with this sigma_h are the
-Z(sigma_h)-orbits of the transitive coset members.  A member is kept iff
-it is the least of its Z(sigma_h)-conjugates, as in orderly generation
-(Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26 (1998)).
+Z(sigma_h)-orbits of the transitive coset members.  Conjugating by
+z in Z(sigma_h) maps the coset of c onto the coset of z c z^{-1}, so one
+c per Z(sigma_h)-orbit is scanned, and the classes meet its coset in the
+orbits of the stabilizer Stab(c) = {y in Z(sigma_h) : y c y^{-1} = c}.
+A member is kept iff it is the least of its Stab(c)-conjugates, as in
+orderly generation (Read, Ann. Discrete Math. 2 (1978); McKay,
+J. Algorithms 26 (1998)), and a kept class is represented by the least of
+its Z(sigma_h)-conjugates, which may lie in the coset of another c of
+the orbit.  A c that commutes with Z(sigma_h), as c = id does at g = 1,
+is its own orbit with Stab(c) = Z(sigma_h).
 
 The vertex permutation acts on bottom-left corners: rotating a full turn
 counterclockwise around the corner of square x visits the squares
@@ -51,9 +58,11 @@ from .permutation import (
     Perm,
     centralizer_elements,
     centralizer_order,
+    centralizer_generators,
     compose,
     conjugate,
     conjugator,
+    cycle_count,
     cycle_type,
     cycles,
     from_cycle_type,
@@ -204,13 +213,19 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     sigma_v sigma_h sigma_v^-1 = c sigma_h; so each such c with c sigma_h
     of the cycle type of sigma_h contributes the coset pi_0 Z(sigma_h),
     pi_0 = conjugator(sigma_h, c sigma_h), and every other c contributes
-    none.  A transitive coset member sigma_v is kept iff no y in
-    Z(sigma_h) conjugates it to a smaller permutation; |Aut| is the
-    number of y that fix it.  Every representative's vertex permutation
-    is checked to have the cycle type of the stratum, and for g >= 2 every
-    |Aut| to be 1 and the kept classes of each sigma_h times
-    |Z(sigma_h)| to be its number of transitive coset members
-    (AssertionError otherwise).
+    none.  The c are walked in order, and a c in the Z(sigma_h)-orbit of
+    an earlier one is skipped.  A c that commutes with the generators of
+    Z(sigma_h) is central: Stab(c) = Z(sigma_h), which stays lazy (all of
+    S_N at sigma_h = id).  Otherwise conjugating c by every y in
+    Z(sigma_h) gives its orbit and Stab(c).  A transitive coset member
+    sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
+    permutation; |Aut| is the number of y in Stab(c) that fix it, since an
+    automorphism fixes c = [sigma_v, sigma_h].  For a non-central c the
+    representative is the least Z(sigma_h)-conjugate of the kept sigma_v.
+    Every representative's vertex permutation is checked to have the
+    cycle type of the stratum, and for g >= 2 every |Aut| to be 1 and the
+    kept classes of each orbit of c times |Stab(c)| to be the number of
+    transitive coset members of c (AssertionError otherwise).
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -227,43 +242,58 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     out: list[tuple[SquareTiledSurface, int]] = []
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
-        cosets = [
-            conjugator(sh, compose(c, sh))
-            for c in vertex_perms
-            if cycle_type(compose(c, sh)) == ctype
-        ]
-        members, first_kept = 0, len(out)
-        for pi_0 in cosets:
+        generators = centralizer_generators(sh)
+        seen: set[Perm] = set()
+        for c in vertex_perms:
+            if c in seen:
+                continue
+            c_sh = compose(c, sh)
+            if cycle_count(c_sh) != len(ctype) or cycle_type(c_sh) != ctype:
+                continue
+            # A central c is its own orbit with Stab(c) = Z(sigma_h), which
+            # stays lazy: at sigma_h = id it is all of S_N.
+            stabilizer = None
+            if any(compose(y, c) != compose(c, y) for y in generators):
+                stabilizer = []
+                for y in centralizer_elements(sh):
+                    image = conjugate(y, c)
+                    seen.add(image)
+                    if image == c:
+                        stabilizer.append(y)
+            pi_0 = conjugator(sh, c_sh)
+            members, first_kept = 0, len(out)
             for z in centralizer_elements(sh):
                 sv = compose(pi_0, z)
                 if not is_transitive(sh, sv):
                     continue
                 members += 1
                 aut = 0
-                for y in centralizer_elements(sh):
+                for y in centralizer_elements(sh) if stabilizer is None else stabilizer:
                     image = conjugate(y, sv)
                     if image < sv:
                         break
                     aut += image == sv
                 else:
+                    if stabilizer is not None:
+                        sv = min(conjugate(y, sv) for y in centralizer_elements(sh))
                     surface = SquareTiledSurface(sh, sv)
                     if cycle_type(surface.vertex_permutation()) != stratum_type:
                         raise AssertionError(
                             f"census class outside the minimal stratum of genus {g}"
                         )
                     out.append((surface, aut))
-        # For g >= 2 a translation automorphism fixes the one zero, and no
-        # cyclic cover is branched over one point, so every class has
-        # |Aut| = 1 and its Z(sigma_h)-orbit has |Z(sigma_h)| members.
-        kept = out[first_kept:]
-        if g > 1 and (
-            any(aut != 1 for _, aut in kept)
-            or len(kept) * centralizer_order(ctype) != members
-        ):
-            raise AssertionError(
-                f"census of sigma_h {sh}: {len(kept)} classes with |Z| = "
-                f"{centralizer_order(ctype)} against {members} transitive coset members"
-            )
+            # For g >= 2 a translation automorphism fixes the one zero, and no
+            # cyclic cover is branched over one point, so every class has
+            # |Aut| = 1 and meets the coset of c in |Stab(c)| members.
+            kept = out[first_kept:]
+            stab_order = centralizer_order(ctype) if stabilizer is None else len(stabilizer)
+            if g > 1 and (
+                any(aut != 1 for _, aut in kept) or len(kept) * stab_order != members
+            ):
+                raise AssertionError(
+                    f"census of sigma_h {sh}, c {c}: {len(kept)} classes with "
+                    f"|Stab(c)| = {stab_order} against {members} transitive coset members"
+                )
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
 

@@ -32,11 +32,14 @@ from stratavol.sts import (
 
 # SHA-256 of repr(enumerate_sts(g, 8)): g = 2, 3 computed by the S_N scan,
 # g = 1 by the orbit closure over the transitive members of Z(sigma_h) that
-# the torus census used before it took the coset path.
+# the torus census used before it took the coset path, and g = 4 (9,800
+# classes) by the census that scanned one coset per vertex permutation c,
+# before it scanned one coset per Z(sigma_h)-orbit of c.
 CENSUS_DIGESTS_AT_8 = {
     1: "d66598f94d82104c3869af9090138bf9fa497baa601a13a03d33c85d8c7a9bfb",
     2: "3aa79ebf080fba79389e78af38e05cc6d6f41c8c26bbd4b10de3d12dbe2fb661",
     3: "643dede9ae683cebf9c04e36743c00280cee662d6f29b420d748ed14091d7a8d",
+    4: "d00d2d42dcf7c86aeb89b7abf0463c0d9bf7d9cbaade7403020a5045e5cdf66e",
 }
 
 
@@ -155,7 +158,11 @@ class TestEnumeration:
         for n_squares in range(3, 7):
             assert all(aut == 1 for _, aut in enumerate_sts(2, n_squares))
 
-    @pytest.mark.parametrize("g, n_squares", [(1, 4), (1, 6), (2, 5), (3, 6)])
+    # For g >= 2 the Z(sigma_h)-orbit of c often spans several cosets, and a
+    # class's least conjugate can lie outside the coset that was scanned.
+    @pytest.mark.parametrize(
+        "g, n_squares", [(1, 4), (1, 6), (2, 5), (3, 6), (2, 8), (3, 7), (4, 7)]
+    )
     def test_representative_is_orbit_minimum(self, g, n_squares):
         for surface, aut in enumerate_sts(g, n_squares):
             sh, sv = surface.sigma_h, surface.sigma_v
@@ -235,6 +242,16 @@ class TestCensus:
         for n_squares in range(1, 9):
             got = sum(c for (_, nn), (c, _) in table.items() if nn == n_squares)
             assert got == divisor_sum(n_squares)
+
+    def test_torus_classes_have_n_automorphisms(self):
+        # each class is an index-N sublattice of Z^2, and Z^2 / Lambda acts
+        # on it by translations, so |Aut| = N and the weighted count is
+        # sigma(N) / N
+        table = census(1, 8)
+        for n_squares in range(1, 9):
+            assert all(aut == n_squares for _, aut in enumerate_sts(1, n_squares))
+            weighted = sum(w for (_, nn), (_, w) in table.items() if nn == n_squares)
+            assert weighted == Fraction(divisor_sum(n_squares), n_squares)
 
     def test_genus_two_fixture(self):
         # pinned by the enumeration run; regression fixture
