@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import permutations as _all_permutations
 from math import factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Perm = tuple[int, ...]
 
@@ -174,24 +173,13 @@ def centralizer_generators(p: Perm) -> list[Perm]:
     return gens
 
 
-def centralizer_elements(p: Perm) -> Iterable[Perm]:
-    """All elements of the centralizer of p in S_n.
-
-    The identity centralizer is all of S_n, returned as a lazy
-    ``itertools.permutations``.  Any other centralizer is a cached tuple
-    in breadth-first order from the identity.
-    """
-    if p == identity(len(p)):
-        return _all_permutations(range(len(p)))
-    return _centralizer_closure(p)
-
-
 @cache
-def _centralizer_closure(p: Perm) -> tuple[Perm, ...]:
-    """Breadth-first closure of the identity under the generators of Z(p).
+def centralizer_elements(p: Perm) -> tuple[Perm, ...]:
+    """All elements of the centralizer of p in S_n, as a cached tuple.
 
-    Raises AssertionError unless the closure has centralizer_order
-    elements.
+    The breadth-first closure of the identity under the generators of
+    Z(p), so the identity comes first.  Raises AssertionError unless the
+    closure has centralizer_order elements.
     """
     gens = centralizer_generators(p)
     elems = [identity(len(p))]

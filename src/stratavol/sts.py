@@ -5,25 +5,29 @@ A surface with N unit squares is a pair of permutations of {0,..,N-1}:
 upper neighbor.  The pair must act transitively (connected surface).
 Surfaces are counted up to simultaneous conjugation (square relabeling).
 
-Enumeration: sigma_h runs over one permutation per cycle type.  The
-vertex permutation c = [sigma_v, sigma_h] is a (2g-1)-cycle for g >= 2
-and the identity for g = 1, and the condition is the same as
-sigma_v sigma_h sigma_v^{-1} = c sigma_h.  So sigma_v is built, never
-searched for: for every such c with c sigma_h of the cycle type of
-sigma_h, the solutions form the coset pi_0 Z(sigma_h), where pi_0 is any
-permutation conjugating sigma_h to c sigma_h (for g = 1 the coset is
-Z(sigma_h) itself).  Conjugating sigma_v by Z(sigma_h) relabels the
-squares and keeps sigma_h, so the classes with this sigma_h are the
-Z(sigma_h)-orbits of the transitive coset members.  Conjugating by
-z in Z(sigma_h) maps the coset of c onto the coset of z c z^{-1}, so one
-c per Z(sigma_h)-orbit is scanned, and the classes meet its coset in the
-orbits of the stabilizer Stab(c) = {y in Z(sigma_h) : y c y^{-1} = c}.
-A member is kept iff it is the least of its Stab(c)-conjugates, as in
-orderly generation (Read, Ann. Discrete Math. 2 (1978); McKay,
-J. Algorithms 26 (1998)), and a kept class is represented by the least of
-its Z(sigma_h)-conjugates, which may lie in the coset of another c of
-the orbit.  A c that commutes with Z(sigma_h), as c = id does at g = 1,
-is its own orbit with Stab(c) = Z(sigma_h).
+Enumeration at g = 1: the surfaces are the tori Z^2 / Lambda over the
+sigma(N) sublattices Lambda of index N, listed in closed form from the
+basis (m, 0), (t, d) with m d = N and 0 <= t < m.  Each is the least of
+its Z(sigma_h)-conjugates as listed, and each has |Aut| = N.
+
+Enumeration at g >= 2: sigma_h runs over one permutation per cycle type.
+The vertex permutation c = [sigma_v, sigma_h] is a (2g-1)-cycle, and the
+condition is the same as sigma_v sigma_h sigma_v^{-1} = c sigma_h.  So
+sigma_v is built, never searched for: for every such c with c sigma_h of
+the cycle type of sigma_h, the solutions form the coset pi_0 Z(sigma_h),
+where pi_0 is any permutation conjugating sigma_h to c sigma_h.
+Conjugating sigma_v by Z(sigma_h) relabels the squares and keeps
+sigma_h, so the classes with this sigma_h are the Z(sigma_h)-orbits of
+the transitive coset members.  Conjugating by z in Z(sigma_h) maps the
+coset of c onto the coset of z c z^{-1}, so one c per Z(sigma_h)-orbit
+is scanned, and the classes meet its coset in the orbits of the
+stabilizer Stab(c) = {y in Z(sigma_h) : y c y^{-1} = c}.  A member is
+kept iff it is the least of its Stab(c)-conjugates, as in orderly
+generation (Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26
+(1998)), and a kept class is represented by the least of its
+Z(sigma_h)-conjugates, which may lie in the coset of another c of the
+orbit.  At sigma_h = id no c fits, since c id = c is not of the
+identity's type, so the census never walks all of S_N.
 
 The vertex permutation acts on bottom-left corners: rotating a full turn
 counterclockwise around the corner of square x visits the squares
@@ -57,8 +61,6 @@ from typing import Iterator
 from .permutation import (
     Perm,
     centralizer_elements,
-    centralizer_order,
-    centralizer_generators,
     compose,
     conjugate,
     conjugator,
@@ -66,7 +68,6 @@ from .permutation import (
     cycle_type,
     cycles,
     from_cycle_type,
-    identity,
     inverse,
     is_transitive,
     partitions,
@@ -202,30 +203,65 @@ def _cycles_of_length(n: int, m: int) -> Iterator[Perm]:
             yield tuple(img)
 
 
+def _torus_classes(n_squares: int) -> Iterator[SquareTiledSurface]:
+    """One surface per index-n_squares sublattice of Z^2, in closed form.
+
+    The lattice with basis (m, 0), (t, d), m d = n_squares, 0 <= t < m,
+    labels square (x, y) of its fundamental domain as y m + x: sigma_h is
+    from_cycle_type((m,) * d), and sigma_v moves every row up by one, the
+    top row landing on row 0 shifted by -t.
+    """
+    for m in range(1, n_squares + 1):
+        if n_squares % m:
+            continue
+        sh = from_cycle_type((m,) * (n_squares // m))
+        for t in range(m):
+            sv = tuple(range(m, n_squares)) + tuple((x - t) % m for x in range(m))
+            yield SquareTiledSurface(sh, sv)
+
+
+def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
+    """The surface, once its vertex permutation has the minimal stratum's type."""
+    n = surface.num_squares
+    if cycle_type(surface.vertex_permutation()) != (2 * g - 1,) + (1,) * (n - 2 * g + 1):
+        raise AssertionError(f"census class outside the minimal stratum of genus {g}")
+    return surface
+
+
 @cache
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
     """Conjugacy classes of admissible pairs with exactly n_squares squares.
 
     Returns (representative, |Aut|) with |Aut| the centralizer order of
-    the pair, sorted by (sigma_h, sigma_v).  sigma_h runs over one
-    representative per cycle type.  The vertex permutation c is a
-    (2g-1)-cycle for g >= 2 and the identity for g = 1, and
-    sigma_v sigma_h sigma_v^-1 = c sigma_h; so each such c with c sigma_h
-    of the cycle type of sigma_h contributes the coset pi_0 Z(sigma_h),
-    pi_0 = conjugator(sigma_h, c sigma_h), and every other c contributes
-    none.  The c are walked in order, and a c in the Z(sigma_h)-orbit of
-    an earlier one is skipped.  A c that commutes with the generators of
-    Z(sigma_h) is central: Stab(c) = Z(sigma_h), which stays lazy (all of
-    S_N at sigma_h = id).  Otherwise conjugating c by every y in
-    Z(sigma_h) gives its orbit and Stab(c).  A transitive coset member
-    sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
+    the pair, sorted by (sigma_h, sigma_v); every representative is the
+    least of its Z(sigma_h)-conjugates.
+
+    g = 1: the classes are the index-N sublattices of Z^2, listed by
+    `_torus_classes`, each with |Aut| = N (the translations of Z^2 modulo
+    the lattice).  Each listed sigma_v is already the least conjugate.
+    Z(sigma_h) rotates the d rows of length m and permutes them, and
+    sigma_v maps each row onto a row with a shift.  For d = 1, sigma_v is
+    a rotation, which Z(sigma_h) fixes.  For d > 1 the rows form one
+    sigma_v-cycle, so the least conjugate sends row r to row r + 1 with
+    shift 0 for r < d - 1; the last row's shift -t is then the sum of
+    the shifts around the cycle, which conjugation leaves unchanged.
+
+    g >= 2: sigma_h runs over one representative per cycle type.  For
+    each (2g-1)-cycle c with c sigma_h of the cycle type of sigma_h, the
+    sigma_v with sigma_v sigma_h sigma_v^-1 = c sigma_h form the coset
+    pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h, c sigma_h), and every
+    other c contributes none.  The c are walked in order, and a c in the
+    Z(sigma_h)-orbit of an earlier one is skipped.  Conjugating c by every
+    y in Z(sigma_h) gives its orbit and Stab(c).  A transitive coset
+    member sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
     permutation; |Aut| is the number of y in Stab(c) that fix it, since an
-    automorphism fixes c = [sigma_v, sigma_h].  For a non-central c the
-    representative is the least Z(sigma_h)-conjugate of the kept sigma_v.
+    automorphism fixes c = [sigma_v, sigma_h], and the representative is
+    the least Z(sigma_h)-conjugate of the kept sigma_v.  Every |Aut| must
+    be 1, and the kept classes of each orbit of c times |Stab(c)| must be
+    the number of transitive coset members of c.
+
     Every representative's vertex permutation is checked to have the
-    cycle type of the stratum, and for g >= 2 every |Aut| to be 1 and the
-    kept classes of each orbit of c times |Stab(c)| to be the number of
-    transitive coset members of c (AssertionError otherwise).
+    cycle type of the stratum (AssertionError if a check fails).
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -233,16 +269,20 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
         raise ValueError(f"need 1 <= N <= {MAX_SQUARES}")
     if n_squares < 2 * g - 1:
         return []
-
-    stratum_type = (2 * g - 1,) + (1,) * (n_squares - 2 * g + 1)
-    if g > 1:
-        vertex_perms = list(_cycles_of_length(n_squares, 2 * g - 1))
+    if g == 1:
+        out = [(_in_stratum(surface, 1), n_squares) for surface in _torus_classes(n_squares)]
     else:
-        vertex_perms = [identity(n_squares)]
-    out: list[tuple[SquareTiledSurface, int]] = []
+        out = _coset_classes(g, n_squares)
+    out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
+    return out
+
+
+def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
+    """The classes at g >= 2, one coset per Z(sigma_h)-orbit of c, unsorted."""
+    vertex_perms = list(_cycles_of_length(n_squares, 2 * g - 1))
+    out = []
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
-        generators = centralizer_generators(sh)
         seen: set[Perm] = set()
         for c in vertex_perms:
             if c in seen:
@@ -250,16 +290,12 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
             c_sh = compose(c, sh)
             if cycle_count(c_sh) != len(ctype) or cycle_type(c_sh) != ctype:
                 continue
-            # A central c is its own orbit with Stab(c) = Z(sigma_h), which
-            # stays lazy: at sigma_h = id it is all of S_N.
-            stabilizer = None
-            if any(compose(y, c) != compose(c, y) for y in generators):
-                stabilizer = []
-                for y in centralizer_elements(sh):
-                    image = conjugate(y, c)
-                    seen.add(image)
-                    if image == c:
-                        stabilizer.append(y)
+            stabilizer = []
+            for y in centralizer_elements(sh):
+                image = conjugate(y, c)
+                seen.add(image)
+                if image == c:
+                    stabilizer.append(y)
             pi_0 = conjugator(sh, c_sh)
             members, first_kept = 0, len(out)
             for z in centralizer_elements(sh):
@@ -268,33 +304,23 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
                     continue
                 members += 1
                 aut = 0
-                for y in centralizer_elements(sh) if stabilizer is None else stabilizer:
+                for y in stabilizer:
                     image = conjugate(y, sv)
                     if image < sv:
                         break
                     aut += image == sv
                 else:
-                    if stabilizer is not None:
-                        sv = min(conjugate(y, sv) for y in centralizer_elements(sh))
-                    surface = SquareTiledSurface(sh, sv)
-                    if cycle_type(surface.vertex_permutation()) != stratum_type:
-                        raise AssertionError(
-                            f"census class outside the minimal stratum of genus {g}"
-                        )
-                    out.append((surface, aut))
-            # For g >= 2 a translation automorphism fixes the one zero, and no
-            # cyclic cover is branched over one point, so every class has
-            # |Aut| = 1 and meets the coset of c in |Stab(c)| members.
+                    sv = min(conjugate(y, sv) for y in centralizer_elements(sh))
+                    out.append((_in_stratum(SquareTiledSurface(sh, sv), g), aut))
+            # A translation automorphism fixes the one zero, and no cyclic
+            # cover is branched over one point, so every class has |Aut| = 1
+            # and meets the coset of c in |Stab(c)| members.
             kept = out[first_kept:]
-            stab_order = centralizer_order(ctype) if stabilizer is None else len(stabilizer)
-            if g > 1 and (
-                any(aut != 1 for _, aut in kept) or len(kept) * stab_order != members
-            ):
+            if any(aut != 1 for _, aut in kept) or len(kept) * len(stabilizer) != members:
                 raise AssertionError(
                     f"census of sigma_h {sh}, c {c}: {len(kept)} classes with "
-                    f"|Stab(c)| = {stab_order} against {members} transitive coset members"
+                    f"|Stab(c)| = {len(stabilizer)} against {members} transitive coset members"
                 )
-    out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
 
 

@@ -32,9 +32,10 @@ from stratavol.sts import (
 
 # SHA-256 of repr(enumerate_sts(g, 8)): g = 2, 3 computed by the S_N scan,
 # g = 1 by the orbit closure over the transitive members of Z(sigma_h) that
-# the torus census used before it took the coset path, and g = 4 (9,800
-# classes) by the census that scanned one coset per vertex permutation c,
-# before it scanned one coset per Z(sigma_h)-orbit of c.
+# the torus census used before it took the coset path (the coset scan and
+# the sublattice listing that replaced it both reproduce it), and g = 4
+# (9,800 classes) by the census that scanned one coset per vertex
+# permutation c, before it scanned one coset per Z(sigma_h)-orbit of c.
 CENSUS_DIGESTS_AT_8 = {
     1: "d66598f94d82104c3869af9090138bf9fa497baa601a13a03d33c85d8c7a9bfb",
     2: "3aa79ebf080fba79389e78af38e05cc6d6f41c8c26bbd4b10de3d12dbe2fb661",
@@ -161,7 +162,7 @@ class TestEnumeration:
     # For g >= 2 the Z(sigma_h)-orbit of c often spans several cosets, and a
     # class's least conjugate can lie outside the coset that was scanned.
     @pytest.mark.parametrize(
-        "g, n_squares", [(1, 4), (1, 6), (2, 5), (3, 6), (2, 8), (3, 7), (4, 7)]
+        "g, n_squares", [(1, 4), (1, 6), (1, 8), (2, 5), (3, 6), (2, 8), (3, 7), (4, 7)]
     )
     def test_representative_is_orbit_minimum(self, g, n_squares):
         for surface, aut in enumerate_sts(g, n_squares):
@@ -212,6 +213,23 @@ class TestEnumeration:
             assert main(["count", "sts", "--genus", "2", "--max-squares", "5"], out=out) == 3
             assert out.getvalue() == ""
             assert capsys.readouterr().err.startswith("internal error: census class")
+        finally:
+            enumerate_sts.cache_clear()
+
+    def test_torus_stratum_check_exits_three(self, monkeypatch, capsys):
+        # a reversed sigma_h is no longer the row rotation that the
+        # sublattice's sigma_v commutes with
+        monkeypatch.setattr(sts, "from_cycle_type", lambda ctype: from_cycle_type(ctype)[::-1])
+        enumerate_sts.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="minimal stratum of genus 1"):
+                enumerate_sts(1, 4)
+            out = io.StringIO()
+            assert main(["count", "sts", "--genus", "1", "--max-squares", "4"], out=out) == 3
+            assert out.getvalue() == ""
+            # the census's cylinder check may fire first, at two squares
+            err = capsys.readouterr().err
+            assert err.startswith("internal error: ") and err.count("\n") == 1
         finally:
             enumerate_sts.cache_clear()
 
@@ -266,7 +284,7 @@ class TestCensus:
 
 class TestCylinderFormula:
     def test_torus_small(self):
-        assert verify_cylinder_formula(1, 6)
+        assert verify_cylinder_formula(1, 8)
 
     def test_genus_two_small(self):
         assert verify_cylinder_formula(2, 5)
