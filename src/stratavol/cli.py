@@ -6,15 +6,24 @@ Subcommands
 * ``volumes``   normalized contributions a_{g,n} and the volumes they scale to
 * ``pnumbers``  the positive-tree counts with even indices up to a weight
 * ``series``    coefficients of the bivariate generating function C(t,u)
-* ``count``     one exact count: ribbon metrics, positive trees, or surfaces
-* ``verify``    the cross-validation suites; nonzero exit on any failure
+* ``count``     one exact count: ``ribbon`` metrics, positive ``trees``, or
+  the ``sts`` census of square-tiled surfaces
+* ``verify``    one cross-validation suite, or ``all``; nonzero exit on any failure
+
+Each command, each ``count`` kind and each ``verify`` suite is a leaf of
+the parser tree.  A leaf declares ``--format`` and only the flags its
+command reads, with their real defaults, and names the ``cmd_*`` function
+that runs it.  A flag the leaf does not declare is argparse's
+``unrecognized arguments`` error: a usage line and an error line on
+stderr, exit 2.
 
 All exact values are printed as rational strings; ``volumes --float``
 adds a decimal column for display only.  Identical invocations produce
 byte-identical output.
 
-A refused input exits with code 2 and a one-line ``error:`` message on
-stderr; every refusal is a check in this module.  A ``ValueError`` or
+An input the parser accepts but a command refuses, such as a value past a
+guard, exits with code 2 and a one-line ``error:`` message on stderr; every
+such refusal is a check in this module.  A ``ValueError`` or
 ``AssertionError`` from the package on accepted input is a broken internal
 invariant: it exits with code 3 and a one-line ``internal error:``
 message, without a traceback.
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -43,57 +53,78 @@ ORDER_LIMIT = 20
 # classes * max(perimeter)^(2g) used below is conservative twice over.
 RIBBON_WORK_LIMIT = 10**6
 
-VERIFY_SUITES = ("bivariate", "multivariate", "walls", "oracle-p", "oracle-sts", "all")
-
 
 class _Refused(Exception):
     """An input the CLI refuses; main prints it as one ``error:`` line."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree; each leaf declares only the flags its command reads.
+
+    Cached: parsing leaves the parser unchanged, so every call shares one
+    and no caller may change it.
+    """
     parser = argparse.ArgumentParser(
         prog="stratavol",
         description="Exact cylinder-refined volume tables and verification suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p_vol = sub.add_parser("volumes", help="table of a_{g,n} and volumes")
+    p_vol = _leaf(commands, "volumes", cmd_volumes, help="table of a_{g,n} and volumes")
     p_vol.add_argument("--gmax", type=int, default=4)
     p_vol.add_argument("--float", action="store_true", dest="with_float",
                        help="add a decimal display column")
-    _add_common(p_vol)
 
-    p_pn = sub.add_parser("pnumbers", help="even-index p-numbers up to a weight")
+    p_pn = _leaf(commands, "pnumbers", cmd_pnumbers,
+                 help="even-index p-numbers up to a weight")
     p_pn.add_argument("--weight", type=int, default=8)
-    _add_common(p_pn)
 
-    p_ser = sub.add_parser("series", help="coefficients of C(t,u)")
+    p_ser = _leaf(commands, "series", cmd_series, help="coefficients of C(t,u)")
     p_ser.add_argument("--order", type=int, default=8)
-    _add_common(p_ser)
 
-    p_count = sub.add_parser("count", help="one exact count")
-    p_count.add_argument("kind", choices=("ribbon", "trees", "sts"))
-    p_count.add_argument("--genus", type=int, default=0)
-    p_count.add_argument("--black-perimeters", type=str, default=None,
-                         help="comma-separated integers, e.g. 5,1")
-    p_count.add_argument("--white-perimeters", type=str, default=None)
-    p_count.add_argument("--max-squares", type=int, default=None,
-                         help="sts counts only; default 6")
-    _add_common(p_count)
+    kinds = commands.add_parser("count", help="one exact count").add_subparsers(
+        dest="kind", required=True
+    )
+    p_ribbon = _leaf(kinds, "ribbon", cmd_count_ribbon,
+                     help="automorphism-weighted metric count of the (g,k,l) family")
+    p_ribbon.add_argument("--genus", type=int, default=0)
+    _add_perimeters(p_ribbon)
+    _add_perimeters(_leaf(kinds, "trees", cmd_count_trees,
+                          help="trees of the genus-0 family positive at a point"))
+    p_sts = _leaf(kinds, "sts", cmd_count_sts, help="census of square-tiled surfaces")
+    p_sts.add_argument("--genus", type=int, default=0)
+    _add_max_squares(p_sts)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=VERIFY_SUITES)
-    p_ver.add_argument("--max-squares", type=int, default=None,
-                       help="oracle-sts and all only; default 6")
-    p_ver.add_argument("--seed", type=int, default=None,
-                       help="oracle-p and all only; default 0")
-    _add_common(p_ver)
+    suites = commands.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True
+    )
+    for suite in (*VERIFY_CHECKS, "all"):
+        p_suite = _leaf(suites, suite, cmd_verify)
+        if suite in ("oracle-p", "all"):
+            p_suite.add_argument("--seed", type=int, default=0)
+        if suite in ("oracle-sts", "all"):
+            _add_max_squares(p_suite)
 
     return parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+def _leaf(subparsers, name: str, run, **kwargs) -> argparse.ArgumentParser:
+    """A command parser with ``--format`` that dispatches to ``run``."""
+    leaf = subparsers.add_parser(name, **kwargs)
+    leaf.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    leaf.set_defaults(run=run)
+    return leaf
+
+
+def _add_perimeters(leaf: argparse.ArgumentParser) -> None:
+    leaf.add_argument("--black-perimeters", required=True,
+                      help="comma-separated integers, e.g. 5,1")
+    leaf.add_argument("--white-perimeters", required=True)
+
+
+def _add_max_squares(leaf: argparse.ArgumentParser) -> None:
+    leaf.add_argument("--max-squares", type=int, default=6)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +152,26 @@ def _emit_rows(args, header: list[str], rows: list[dict], out) -> None:
             )
 
 
-def _parse_perimeters(text: str | None, flag: str) -> tuple[int, ...]:
-    if not text:
-        raise _Refused(f"{flag} is required for this count")
+def _parse_perimeters(text: str, flag: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _Refused(f"{flag} must be comma-separated integers") from None
-    return values
+
+
+def _perimeter_point(args, genus: int) -> PerimeterPair:
+    """The point of ``--black/white-perimeters``, within the edge bound at ``genus``."""
+    black = _parse_perimeters(args.black_perimeters, "--black-perimeters")
+    white = _parse_perimeters(args.white_perimeters, "--white-perimeters")
+    if genus < 0:
+        raise _Refused("need g >= 0, k >= 1, l >= 1")
+    n_edges = len(black) + len(white) - 1 + 2 * genus
+    if n_edges > ribbon.MAX_EDGES:
+        raise _Refused(
+            f"(g,k,l)=({genus},{len(black)},{len(white)}) needs {n_edges} edges; "
+            f"bound is {ribbon.MAX_EDGES}"
+        )
+    return PerimeterPair(black, white)
 
 
 def _check_ribbon_work(genus: int, black: tuple[int, ...], white: tuple[int, ...]) -> None:
@@ -225,63 +268,47 @@ def cmd_series(args, out) -> int:
     return 0
 
 
-def cmd_count(args, out) -> int:
-    if args.kind == "sts":
-        if args.genus < 1:
-            raise _Refused("--genus must be >= 1 for sts counts")
-        max_squares = 6 if args.max_squares is None else args.max_squares
-        _check_max_squares(max_squares)
-        for flag, value in (("--black-perimeters", args.black_perimeters),
-                            ("--white-perimeters", args.white_perimeters)):
-            if value is not None:
-                raise _Refused(f"count sts does not read {flag}")
-        table = sts.census(args.genus, max_squares)
-        rows = []
-        cumulative = 0
-        for (n_cyl, n_squares), (count, weighted) in sorted(table.items()):
-            cumulative += count
-            rows.append(
-                {
-                    "g": args.genus,
-                    "N": n_squares,
-                    "n": n_cyl,
-                    "count": count,
-                    "weighted_count": format_rational(weighted),
-                }
-            )
-        _emit_rows(args, ["g", "N", "n", "count", "weighted_count"], rows, out)
-        if args.format == "pretty":
-            print(f"total classes with N <= {max_squares}: {cumulative}", file=out)
-        return 0
-
-    black = _parse_perimeters(args.black_perimeters, "--black-perimeters")
-    white = _parse_perimeters(args.white_perimeters, "--white-perimeters")
-    if args.genus < 0:
-        raise _Refused("need g >= 0, k >= 1, l >= 1")
-    # Trees are the genus-0 family; a positive --genus is refused below.
-    genus = args.genus if args.kind == "ribbon" else 0
-    n_edges = len(black) + len(white) - 1 + 2 * genus
-    if n_edges > ribbon.MAX_EDGES:
-        raise _Refused(
-            f"(g,k,l)=({genus},{len(black)},{len(white)}) needs {n_edges} edges; "
-            f"bound is {ribbon.MAX_EDGES}"
+def cmd_count_sts(args, out) -> int:
+    if args.genus < 1:
+        raise _Refused("--genus must be >= 1 for sts counts")
+    _check_max_squares(args.max_squares)
+    table = sts.census(args.genus, args.max_squares)
+    rows = []
+    cumulative = 0
+    for (n_cyl, n_squares), (count, weighted) in sorted(table.items()):
+        cumulative += count
+        rows.append(
+            {
+                "g": args.genus,
+                "N": n_squares,
+                "n": n_cyl,
+                "count": count,
+                "weighted_count": format_rational(weighted),
+            }
         )
-    if args.genus != genus:
-        raise _Refused("count trees is the genus-0 family; --genus must be 0")
-    if args.max_squares is not None:
-        raise _Refused(f"count {args.kind} does not read --max-squares")
-    if args.kind == "trees" and sum(black) != sum(white):
+    _emit_rows(args, ["g", "N", "n", "count", "weighted_count"], rows, out)
+    if args.format == "pretty":
+        print(f"total classes with N <= {args.max_squares}: {cumulative}", file=out)
+    return 0
+
+
+def cmd_count_ribbon(args, out) -> int:
+    point = _perimeter_point(args, args.genus)
+    black, white = point.black, point.white
+    # counting_function gives 0 at an unbalanced point, or one with a
+    # perimeter below 1, before it enumerates the family.
+    if point.is_balanced() and min(black + white) >= 1:
+        _check_ribbon_work(args.genus, black, white)
+    value = ribbon.counting_function(args.genus, len(black), len(white), point)
+    print(format_rational(value), file=out)
+    return 0
+
+
+def cmd_count_trees(args, out) -> int:
+    point = _perimeter_point(args, 0)
+    if not point.is_balanced():
         raise _Refused("perimeters must balance: sum L = sum L'")
-    point = PerimeterPair(black, white)
-    if args.kind == "ribbon":
-        # counting_function gives 0 at an unbalanced point, or one with a
-        # perimeter below 1, before it enumerates the family.
-        if point.is_balanced() and min(black + white) >= 1:
-            _check_ribbon_work(genus, black, white)
-        value = ribbon.counting_function(genus, len(black), len(white), point)
-        print(format_rational(value), file=out)
-    else:
-        print(ribbon.count_positive_trees(len(black), len(white), point), file=out)
+    print(ribbon.count_positive_trees(len(point.black), len(point.white), point), file=out)
     return 0
 
 
@@ -298,48 +325,31 @@ def _oracle_p_check(seed: int) -> tuple[bool, str]:
     return True, f"{checked} block walls agree"
 
 
-def cmd_verify(args, out) -> int:
-    for flag, value, reader in (("--max-squares", args.max_squares, "oracle-sts"),
-                                ("--seed", args.seed, "oracle-p")):
-        if value is not None and args.suite not in (reader, "all"):
-            raise _Refused(f"verify {args.suite} does not read {flag}")
-    max_squares = 6 if args.max_squares is None else args.max_squares
-    seed = 0 if args.seed is None else args.seed
-    _check_max_squares(max_squares)
-    checks: list[tuple[str, object]] = []
-    if args.suite in ("bivariate", "all"):
-        checks.append(
-            ("bivariate", lambda: (volumes.verify_bivariate_relation(6), "g <= 6"))
-        )
-    if args.suite in ("multivariate", "all"):
-        checks.append(
-            (
-                "multivariate",
-                lambda: (pnum.verify_multivariate_relation(8, 8), "weight <= 8"),
-            )
-        )
-    if args.suite in ("walls", "all"):
-        checks.append(
-            ("walls", lambda: (ribbon.verify_wall_constancy(), "cells of V_2, V_3"))
-        )
-    if args.suite in ("oracle-p", "all"):
-        checks.append(("oracle-p", lambda: _oracle_p_check(seed)))
-    if args.suite in ("oracle-sts", "all"):
-        checks.append(
-            (
-                "oracle-sts",
-                lambda: (
-                    sts.verify_cylinder_formula(1, max_squares)
-                    and sts.verify_cylinder_formula(2, max_squares),
-                    f"g <= 2, N <= {max_squares}",
-                ),
-            )
-        )
+def _oracle_sts_check(max_squares: int) -> tuple[bool, str]:
+    passed = all(sts.verify_cylinder_formula(g, max_squares) for g in (1, 2))
+    return passed, f"g <= 2, N <= {max_squares}"
 
+
+# Each suite's check, as (passed, detail) from the parsed arguments; the
+# suite ``all`` runs them in this order.
+VERIFY_CHECKS = {
+    "bivariate": lambda args: (volumes.verify_bivariate_relation(6), "g <= 6"),
+    "multivariate": lambda args: (pnum.verify_multivariate_relation(8, 8), "weight <= 8"),
+    "walls": lambda args: (ribbon.verify_wall_constancy(), "cells of V_2, V_3"),
+    "oracle-p": lambda args: _oracle_p_check(args.seed),
+    "oracle-sts": lambda args: _oracle_sts_check(args.max_squares),
+}
+
+
+def cmd_verify(args, out) -> int:
+    # refused before any suite runs; only the leaves that run oracle-sts have it
+    if "max_squares" in args:
+        _check_max_squares(args.max_squares)
+    names = list(VERIFY_CHECKS) if args.suite == "all" else [args.suite]
     results = []
     all_passed = True
-    for name, run in checks:
-        passed, detail = run()
+    for name in names:
+        passed, detail = VERIFY_CHECKS[name](args)
         all_passed = all_passed and passed
         results.append({"check": name, "passed": passed, "detail": detail})
     if args.format == "json":
@@ -357,23 +367,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "volumes":
-            code = cmd_volumes(args, out)
-        elif args.command == "pnumbers":
-            code = cmd_pnumbers(args, out)
-        elif args.command == "series":
-            code = cmd_series(args, out)
-        elif args.command == "count":
-            code = cmd_count(args, out)
-        else:
-            code = cmd_verify(args, out)
+        return args.run(args, out)
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    return code
 
 
 if __name__ == "__main__":

@@ -200,7 +200,9 @@ def verify_multivariate_relation(k_max: int, weight: int) -> bool:
 
 
 def compositions(total: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of n positive integers summing to total."""
+    """Ordered tuples of n positive integers summing to total; n must be >= 1."""
+    if n < 1:
+        raise ValueError("compositions need n >= 1 parts")
     if n == 1:
         if total >= 1:
             yield (total,)

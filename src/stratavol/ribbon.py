@@ -397,14 +397,18 @@ def _count_metrics(tree, values: list) -> int:
     return total
 
 
+def _check_arity(p: PerimeterPair, k: int, l: int) -> None:
+    if len(p.black) != k or len(p.white) != l:
+        raise ValueError("perimeter arity does not match the graph")
+
+
 def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
     """Number of positive integral edge weights realizing the perimeters.
 
     The 2g weights of the edges off a spanning tree force the others
     linearly; see ``_count_metrics``.  Infeasible perimeters give 0.
     """
-    if len(p.black) != graph.k or len(p.white) != graph.l:
-        raise ValueError("perimeter arity does not match the graph")
+    _check_arity(p, graph.k, graph.l)
     if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
         return 0
     edges = tuple(zip(graph.black_labels, graph.white_labels))
@@ -419,8 +423,7 @@ def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
     perimeter below 1, admits no positive metric on any graph, so it gives
     0 before the family is enumerated.
     """
-    if len(p.black) != k or len(p.white) != l:
-        raise ValueError("perimeter arity does not match the graph")
+    _check_arity(p, k, l)
     if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
         return Fraction(0)
     values = _form_values(p)
@@ -436,6 +439,7 @@ def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
     """
     if not tree.is_tree():
         raise ValueError("tree_weights requires a genus-0 graph")
+    _check_arity(p, tree.k, tree.l)
     if not p.is_balanced():
         raise ValueError("perimeters must balance: sum L = sum L'")
     forms, _ = _spanning_tree(tuple(zip(tree.black_labels, tree.white_labels)))
@@ -450,6 +454,7 @@ def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
     edge weights matter.  Each tree class has |Aut| = 1, so every weight is
     an int and so is the count.
     """
+    _check_arity(p, k, l)
     values = _form_values(p)
     return sum(w * _count_metrics(tree, values) for tree, w in _multigraphs(0, k, l).values())
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,8 +6,8 @@ import math
 
 import pytest
 
-from stratavol import ribbon, volumes
-from stratavol.cli import _check_ribbon_work, main
+from stratavol import cli, ribbon, volumes
+from stratavol.cli import _check_ribbon_work, build_parser, main
 from stratavol.permutation import partitions
 from stratavol.pnum import p_value
 
@@ -23,6 +24,24 @@ def assert_refused(argv, message, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def assert_parse_error(argv, message, capsys):
+    """argparse turns the input away: exit 2, no output, its error line last."""
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main(argv, out=out)
+    assert info.value.code == 2
+    assert out.getvalue() == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: stratavol")
+    assert captured.err.endswith(f" error: {message}\n")
+
+
+def assert_unrecognized(argv, unread, capsys):
+    """A flag the command's leaf does not declare is an unrecognized argument."""
+    assert_parse_error(argv, f"unrecognized arguments: {unread}", capsys)
 
 
 class TestVolumes:
@@ -120,20 +139,11 @@ class TestCount:
         assert code == 0 and text.strip() == "1"
 
     def test_trees(self):
-        # trees are the genus-0 family; --genus 0 is accepted
-        for genus in ([], ["--genus", "0"]):
-            code, text = run_cli(
-                [
-                    "count",
-                    "trees",
-                    "--black-perimeters",
-                    "5,1",
-                    "--white-perimeters",
-                    "4,2",
-                ]
-                + genus
-            )
-            assert code == 0 and text.strip() == "2"
+        # trees are the genus-0 family, so count trees takes no --genus
+        code, text = run_cli(
+            ["count", "trees", "--black-perimeters", "5,1", "--white-perimeters", "4,2"]
+        )
+        assert code == 0 and text.strip() == "2"
 
     def test_sts_cumulative(self):
         code, text = run_cli(
@@ -146,11 +156,13 @@ class TestCount:
         assert sum(counts) == 8
 
     def test_missing_perimeters(self, capsys):
-        assert_refused(
-            ["count", "trees", "--black-perimeters", "3"],
-            "--white-perimeters is required for this count",
-            capsys,
-        )
+        # both perimeter flags are required by the kind's parser
+        for kind in ("ribbon", "trees"):
+            assert_parse_error(
+                ["count", kind, "--black-perimeters", "3"],
+                "the following arguments are required: --white-perimeters",
+                capsys,
+            )
 
     def test_ribbon_work_guard(self, capsys):
         # 4 graph classes at g = 2 times 60^4 lattice points each
@@ -207,15 +219,14 @@ class TestCount:
 
     def test_family_guards(self, capsys):
         # checked in the CLI, before any family is enumerated; trees are genus 0
-        for kind in ("ribbon", "trees"):
-            assert_refused(
-                ["count", kind, "--genus", "-1", "--black-perimeters", "1",
-                 "--white-perimeters", "1"],
-                "need g >= 0, k >= 1, l >= 1",
-                capsys,
-            )
         assert_refused(
-            ["count", "trees", "--genus", "3", "--black-perimeters", "1,1,1,1,1",
+            ["count", "ribbon", "--genus", "-1", "--black-perimeters", "1",
+             "--white-perimeters", "1"],
+            "need g >= 0, k >= 1, l >= 1",
+            capsys,
+        )
+        assert_refused(
+            ["count", "trees", "--black-perimeters", "1,1,1,1,1",
              "--white-perimeters", "1,1,1,1,1"],
             "(g,k,l)=(0,5,5) needs 9 edges; bound is 8",
             capsys,
@@ -228,11 +239,11 @@ class TestCount:
         )
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, why",
         [
-            (["count", "trees", "--genus", "3", "--black-perimeters", "2,1",
-              "--white-perimeters", "1,2"],
-             "count trees is the genus-0 family; --genus must be 0"),
+            (["count", "trees", "--black-perimeters", "2,1", "--white-perimeters", "1,2",
+              "--genus", "3"],
+             "count trees is the genus-0 family; --genus is not one of its flags"),
             (["count", "ribbon", "--genus", "1", "--black-perimeters", "4",
               "--white-perimeters", "4", "--max-squares", "99"],
              "count ribbon does not read --max-squares"),
@@ -244,10 +255,17 @@ class TestCount:
              "count sts does not read --black-perimeters"),
             (["count", "sts", "--genus", "1", "--white-perimeters", "5"],
              "count sts does not read --white-perimeters"),
+            (["count", "trees", "--black-perimeters", "1", "--white-perimeters", "1",
+              "--genus", "-1"],
+             "count trees has no --genus, not even a negative one"),
+            (["count", "trees", "--black-perimeters", "5,1", "--white-perimeters", "4,2",
+              "--genus", "0"],
+             "count trees has no --genus, not even 0"),
         ],
     )
-    def test_unread_flags_refused(self, argv, message, capsys):
-        assert_refused(argv, message, capsys)
+    def test_unread_flags_refused(self, argv, why, capsys):
+        # each argv ends with the unread flag and its value
+        assert_unrecognized(argv, " ".join(argv[-2:]), capsys)
 
     def test_infeasible_ribbon_point_skips_work_guard(self):
         # an unbalanced 8-edge point gives 0 before its 176,400 classes are listed
@@ -339,9 +357,7 @@ class TestVerify:
         monkeypatch.setattr(
             volumes, "verify_bivariate_relation", lambda g: pytest.fail("suite ran")
         )
-        assert_refused(
-            ["verify", suite, flag, "3"], f"verify {suite} does not read {flag}", capsys
-        )
+        assert_unrecognized(["verify", suite, flag, "3"], f"{flag} 3", capsys)
 
     def test_failed_identity_exits_one(self, monkeypatch):
         monkeypatch.setattr(volumes, "verify_bivariate_relation", lambda g: False)
@@ -374,14 +390,39 @@ class TestFloatFlag:
     )
     def test_unknown_outside_volumes(self, argv, capsys):
         # only volumes reads --float; elsewhere it is an unknown flag
-        out = io.StringIO()
-        with pytest.raises(SystemExit) as info:
-            main(argv + ["--float"], out=out)
-        assert info.value.code == 2
-        assert out.getvalue() == ""
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --float" in captured.err
+        assert_unrecognized(argv + ["--float"], "--float", capsys)
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) for each leaf of the parser tree."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+class TestParserTree:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_defaults_do_not_carry_over(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify", "oracle-p", "--seed", "3"]).seed == 3
+        assert parser.parse_args(["verify", "oracle-p"]).seed == 0
+
+    def test_every_leaf_has_format_and_run(self):
+        leaves = dict(_leaves(build_parser()))
+        assert len(leaves) == 12  # 3 tables, 3 count kinds, 6 verify suites
+        for path, leaf in leaves.items():
+            assert "--format" in leaf._option_string_actions, path
+            assert callable(leaf.get_default("run")), path
+
+    def test_every_command_function_is_a_leaf_run(self):
+        runs = {leaf.get_default("run") for _, leaf in _leaves(build_parser())}
+        commands = {f for name, f in vars(cli).items() if name.startswith("cmd_")}
+        assert runs == commands
 
 
 class TestOutsideState:

@@ -304,3 +304,9 @@ def test_compositions_enumeration():
             found = list(compositions(total, n))
             assert len(found) == len(set(found)) == comb(total - 1, n - 1)
             assert all(len(c) == n and sum(c) == total and min(c) >= 1 for c in found)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_compositions_need_a_part(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        list(compositions(3, n))

@@ -499,6 +499,24 @@ class TestTreeWeights:
             tree_weights(graph, PerimeterPair((3,), (3,)))
 
 
+class TestTreeArity:
+    @pytest.mark.parametrize(
+        "point",
+        [PerimeterPair((3, 3, 1), (4, 3)), PerimeterPair((3,), (1, 2))],
+        ids=["long", "short"],
+    )
+    @pytest.mark.parametrize("reader", ["tree_weights", "count_positive_trees"])
+    def test_mismatch_rejected(self, reader, point):
+        # a (0, 2, 2) reader at a point of another arity
+        tree, _ = enumerate_graphs(0, 2, 2)[0]
+        read = {
+            "tree_weights": lambda: tree_weights(tree, point),
+            "count_positive_trees": lambda: count_positive_trees(2, 2, point),
+        }[reader]
+        with pytest.raises(ValueError, match="perimeter arity does not match the graph"):
+            read()
+
+
 class TestPositiveTrees:
     def test_single_edge(self):
         assert count_positive_trees(1, 1, PerimeterPair((5,), (5,))) == 1
