@@ -11,17 +11,15 @@ from .ribbon import (
     PerimeterPair,
     RibbonGraph,
     Wall,
-    count_metrics,
     count_positive_trees,
     counting_function,
     enumerate_graphs,
     fit_ray_polynomial,
     p0_oracle,
-    tree_weights,
     wall_sample_point,
 )
 from .scalars import PiScaled, bernoulli, zeta_even
-from .series import TruncatedSeries, UPoly, lagrange_invert, series_exp, series_log, series_pow_u, sine_quotient
+from .series import TruncatedSeries, UPoly, lagrange_invert, series_exp, series_pow_u, sine_quotient
 from .sts import SquareTiledSurface, census, cylinder_decomposition, enumerate_sts, verify_cylinder_formula, zero_profile
 from .volumes import (
     a_gn,

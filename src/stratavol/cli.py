@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_perimeters(_leaf(kinds, "trees", cmd_count_trees,
                           help="trees of the genus-0 family positive at a point"))
     p_sts = _leaf(kinds, "sts", cmd_count_sts, help="census of square-tiled surfaces")
-    p_sts.add_argument("--genus", type=int, default=0)
+    p_sts.add_argument("--genus", type=int, required=True)
     _add_max_squares(p_sts)
 
     suites = commands.add_parser("verify", help="run a verification suite").add_subparsers(

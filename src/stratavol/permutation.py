@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import accumulate, permutations, product
 from math import factorial, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -124,15 +121,19 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
             yield (first,) + rest
 
 
+def from_cycles(cycs: Iterable[tuple[int, ...]], n: int) -> Perm:
+    """The permutation of {0,..,n-1} with the given cycles, fixing every other point."""
+    img = list(range(n))
+    for cyc in cycs:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            img[a] = b
+    return tuple(img)
+
+
 def from_cycle_type(ctype: tuple[int, ...]) -> Perm:
     """Canonical representative with the given cycle type on consecutive blocks."""
-    img: list[int] = []
-    start = 0
-    for length in ctype:
-        img.extend(range(start + 1, start + length))
-        img.append(start)
-        start += length
-    return tuple(img)
+    starts = accumulate(ctype, initial=0)
+    return from_cycles([tuple(range(s, s + m)) for s, m in zip(starts, ctype)], sum(ctype))
 
 
 def multiplicity_factorial(parts) -> int:
@@ -145,51 +146,30 @@ def centralizer_order(ctype: tuple[int, ...]) -> int:
     return prod(ctype) * multiplicity_factorial(ctype)
 
 
-def centralizer_generators(p: Perm) -> list[Perm]:
-    """Generators of the centralizer of p in S_n.
-
-    One rotation per cycle plus one swap for each adjacent pair of
-    equal-length cycles.
-    """
-    n = len(p)
-    gens: list[Perm] = []
-    cycs = cycles(p)
-    for cyc in cycs:
-        if len(cyc) > 1:
-            g = list(range(n))
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                g[a] = b
-            gens.append(tuple(g))
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in cycs:
-        by_length.setdefault(len(cyc), []).append(cyc)
-    for group in by_length.values():
-        for c1, c2 in zip(group, group[1:]):
-            g = list(range(n))
-            for a, b in zip(c1, c2):
-                g[a] = b
-                g[b] = a
-            gens.append(tuple(g))
-    return gens
-
-
 @cache
 def centralizer_elements(p: Perm) -> tuple[Perm, ...]:
     """All elements of the centralizer of p in S_n, as a cached tuple.
 
-    The breadth-first closure of the identity under the generators of
-    Z(p), so the identity comes first.  Raises AssertionError unless the
-    closure has centralizer_order elements.
+    z commutes with p iff it maps each cycle of p onto a cycle of the same
+    length, at one of its rotations; so Z(p) is the product over the cycle
+    lengths L, with m_L cycles each, of C_L wr S_{m_L}.  Each element is
+    listed as the map from the cycles of p, concatenated, onto one choice
+    of image cycles and rotations, the identity first.  Raises
+    AssertionError unless there are centralizer_order elements.
     """
-    gens = centralizer_generators(p)
-    elems = [identity(len(p))]
-    seen = set(elems)
-    for elem in elems:
-        for g in gens:
-            moved = compose(g, elem)
-            if moved not in seen:
-                seen.add(moved)
-                elems.append(moved)
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cyc in cycles(p):
+        by_length.setdefault(len(cyc), []).append(cyc)
+    images = [
+        [
+            sum((cyc[r:] + cyc[:r] for cyc, r in zip(order, shifts)), ())
+            for order in permutations(group)
+            for shifts in product(range(length), repeat=len(group))
+        ]
+        for length, group in by_length.items()
+    ]
+    source = inverse(sum((cyc for group in by_length.values() for cyc in group), ()))
+    elems = tuple(compose(sum(image, ()), source) for image in product(*images))
     if len(elems) != centralizer_order(cycle_type(p)):
-        raise AssertionError("centralizer closure does not have the centralizer order")
-    return tuple(elems)
+        raise AssertionError(f"centralizer has {len(elems)} elements, not the centralizer order")
+    return elems

@@ -222,7 +222,7 @@ class HomogeneousVolumePolynomial:
 
     genus: int
     n: int
-    terms: dict[tuple[int, ...], Fraction] = field(compare=False)
+    terms: dict[tuple[int, ...], Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
         for exps, coeff in self.terms.items():

@@ -63,9 +63,7 @@ __all__ = [
     "PerimeterPair",
     "Wall",
     "enumerate_graphs",
-    "count_metrics",
     "counting_function",
-    "tree_weights",
     "count_positive_trees",
     "wall_sample_point",
     "p0_oracle",
@@ -94,33 +92,6 @@ class RibbonGraph:
     rho_white: Perm
     black_labels: tuple[int, ...]
     white_labels: tuple[int, ...]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.rho_black)
-
-    @property
-    def k(self) -> int:
-        return max(self.black_labels)
-
-    @property
-    def l(self) -> int:
-        return max(self.white_labels)
-
-    def face_count(self) -> int:
-        return cycle_count(compose(self.rho_black, self.rho_white))
-
-    def genus(self) -> int:
-        v = self.k + self.l
-        e = self.num_edges
-        f = self.face_count()
-        twice_g = 2 - (v - e + f)
-        if twice_g < 0 or twice_g % 2 != 0:
-            raise ValueError("inconsistent map data: Euler formula fails")
-        return twice_g // 2
-
-    def is_tree(self) -> bool:
-        return self.genus() == 0
 
 
 @dataclass(frozen=True)
@@ -213,9 +184,8 @@ def _sigma(e: int) -> Perm:
     return tuple((i + 1) % e for i in range(e))
 
 
-@cache
-def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
-    """All isomorphism classes of the (g, k, l) family with |Aut| counts."""
+def _edge_count(g: int, k: int, l: int) -> int:
+    """E = k + l - 1 + 2g of the (g, k, l) family, checked against the bounds."""
     if g < 0 or k < 1 or l < 1:
         raise ValueError("need g >= 0, k >= 1, l >= 1")
     n_edges = k + l - 1 + 2 * g
@@ -223,6 +193,13 @@ def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
         raise ValueError(
             f"(g,k,l)=({g},{k},{l}) needs {n_edges} edges; bound is {MAX_EDGES}"
         )
+    return n_edges
+
+
+@cache
+def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
+    """All isomorphism classes of the (g, k, l) family with |Aut| counts."""
+    n_edges = _edge_count(g, k, l)
     sigma = _sigma(n_edges)
     rotations = [
         tuple((i + j) % n_edges for i in range(n_edges)) for j in range(n_edges)
@@ -397,54 +374,29 @@ def _count_metrics(tree, values: list) -> int:
     return total
 
 
-def _check_arity(p: PerimeterPair, k: int, l: int) -> None:
+def _family_sum(g: int, k: int, l: int, p: PerimeterPair):
+    """Sum of w * _count_metrics over the (g, k, l) family's edge multisets.
+
+    The family and the arity of p are checked first.  An unbalanced point,
+    or one with a perimeter <= 0, admits no positive metric on any graph,
+    so it gives 0 before the family is enumerated.
+    """
+    _edge_count(g, k, l)
     if len(p.black) != k or len(p.white) != l:
         raise ValueError("perimeter arity does not match the graph")
-
-
-def count_metrics(graph: RibbonGraph, p: PerimeterPair) -> int:
-    """Number of positive integral edge weights realizing the perimeters.
-
-    The 2g weights of the edges off a spanning tree force the others
-    linearly; see ``_count_metrics``.  Infeasible perimeters give 0.
-    """
-    _check_arity(p, graph.k, graph.l)
-    if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
+    if not p.is_balanced() or any(x <= 0 for x in p.black + p.white):
         return 0
-    edges = tuple(zip(graph.black_labels, graph.white_labels))
-    return _count_metrics(_spanning_tree(edges), _form_values(p))
+    values = _form_values(p)
+    return sum(w * _count_metrics(tree, values) for tree, w in _multigraphs(g, k, l).values())
 
 
 def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
     """Automorphism-weighted metric count over the whole (g, k, l) family.
 
     The sum runs over the family's labeled edge multisets, each with its
-    weight; see ``_multigraphs``.  An unbalanced point, or one with a
-    perimeter below 1, admits no positive metric on any graph, so it gives
-    0 before the family is enumerated.
+    weight; see ``_multigraphs`` and ``_family_sum``.
     """
-    _check_arity(p, k, l)
-    if not p.is_balanced() or any(x < 1 for x in p.black + p.white):
-        return Fraction(0)
-    values = _form_values(p)
-    folded = _multigraphs(g, k, l).values()
-    return Fraction(sum(w * _count_metrics(tree, values) for tree, w in folded))
-
-
-def tree_weights(tree: RibbonGraph, p: PerimeterPair) -> tuple:
-    """The unique weight vector on a tree with the prescribed perimeters.
-
-    Entries follow edge order; values are exact rationals (integers at
-    integer perimeters).  Requires balanced perimeters.
-    """
-    if not tree.is_tree():
-        raise ValueError("tree_weights requires a genus-0 graph")
-    _check_arity(p, tree.k, tree.l)
-    if not p.is_balanced():
-        raise ValueError("perimeters must balance: sum L = sum L'")
-    forms, _ = _spanning_tree(tuple(zip(tree.black_labels, tree.white_labels)))
-    values = _form_values(p)
-    return tuple(values[forms[e]] for e in range(tree.num_edges))
+    return Fraction(_family_sum(g, k, l, p))
 
 
 def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
@@ -454,9 +406,7 @@ def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
     edge weights matter.  Each tree class has |Aut| = 1, so every weight is
     an int and so is the count.
     """
-    _check_arity(p, k, l)
-    values = _form_values(p)
-    return sum(w * _count_metrics(tree, values) for tree, w in _multigraphs(0, k, l).values())
+    return int(_family_sum(0, k, l, p))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ The coefficient ring is Q[u], dense polynomials over exact rationals
 t^0 .. t^order inclusive; arithmetic between series of different orders
 truncates to the shorter one, so precision never silently inflates.
 
-Powers, exp and log run a coefficient recurrence, O(n^2) products of
+Powers and exp run a coefficient recurrence, O(n^2) products of
 coefficients at order n; the inverse runs one power per coefficient:
 
 * f^alpha, for f(0) = 1 and alpha a rational or a polynomial in u, by
   J.C.P. Miller's recurrence k P_k = sum_{j=1..k} (alpha j - k + j)
   f_j P_{k-j} (Knuth, TAOCP vol. 2, section 4.7); 1/f is alpha = -1 and
   f^u is alpha = u;
-* exp and log by the recurrences of E' = f' E and f L' = f';
+* exp by the recurrence E' = f' E;
 * the compositional inverse r of q by the Lagrange inversion formula
   [t^k] r = (1/k) [t^(k-1)] (q/t)^(-k) (Stanley, Enumerative
   Combinatorics vol. 2, Theorem 5.4.2), O(n^3) products in all.  Newton
@@ -32,7 +32,6 @@ __all__ = [
     "UPoly",
     "TruncatedSeries",
     "series_exp",
-    "series_log",
     "series_pow_u",
     "series_inverse",
     "sine_quotient",
@@ -318,20 +317,6 @@ def series_exp(f: TruncatedSeries) -> TruncatedSeries:
         terms = (((j,), f.coeffs[j], es[k - j]) for j in range(1, k + 1))
         es.append(_dot(terms) * Fraction(1, k))
     return TruncatedSeries(f.order, es)
-
-
-def series_log(f: TruncatedSeries) -> TruncatedSeries:
-    """log(f) for f with constant term 1.
-
-    L = log(f) solves f L' = f', so k L_k = k f_k - sum_{j=1..k-1} j L_j f_{k-j}.
-    """
-    if f.constant_term() != UPoly.const(1):
-        raise ValueError("series_log requires constant term 1")
-    ls = [UPoly.zero()]
-    for k in range(1, f.order + 1):
-        terms = (((j,), ls[j], f.coeffs[k - j]) for j in range(1, k))
-        ls.append(f.coeffs[k] - _dot(terms) * Fraction(1, k))
-    return TruncatedSeries(f.order, ls)
 
 
 def series_pow_u(f: TruncatedSeries) -> TruncatedSeries:

@@ -184,6 +184,11 @@ class TestCount:
             ["count", "sts", "--genus", "0"], "--genus must be >= 1 for sts counts", capsys
         )
 
+    def test_sts_genus_required(self, capsys):
+        assert_parse_error(
+            ["count", "sts"], "the following arguments are required: --genus", capsys
+        )
+
     def test_sts_squares_guard(self, capsys):
         # refused before the census starts, which would run to N = 8 first
         for squares, message in (

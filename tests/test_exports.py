@@ -107,3 +107,67 @@ def test_no_dead_private_helpers(name):
         ):
             dead.append(helper)
     assert dead == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Paper results exported from stratavol that no other code path calls.
+PAPER_RESULTS = {
+    "pgvn_polynomial",
+    "fit_ray_polynomial",
+    "zero_profile",
+    "total_volume",
+    "cylinder_partial_sum",
+    "asymptotic_prediction",
+}
+
+
+def _named(tree, skip=()):
+    """Every name a tree reads, by name or by attribute, outside the nodes in skip."""
+    skipped = {id(node) for root in skip for node in ast.walk(root)}
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped
+    }
+
+
+def _perfbench_names():
+    """Names perfbench reads by attribute, or as "module.attr" strings it resolves."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names |= _named(tree)
+        names |= {
+            attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.split(".")[0] in MODULES
+            for attr in node.value.split(".")[1:]
+        }
+    return names
+
+
+def test_no_public_code_only_tests_read():
+    # A public function or class that no module of the package names (its
+    # own definition, `__all__` and the package's re-exports aside), that
+    # perfbench does not read and that is not an exported paper result is
+    # read by the tests alone.
+    trees = {name: ast.parse((SOURCE / f"{name}.py").read_text()) for name in MODULES}
+    outside = _perfbench_names() | PAPER_RESULTS
+    unread = []
+    for name, tree in trees.items():
+        all_lists = [
+            node for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ]
+        elsewhere = outside.union(*(_named(t) for other, t in trees.items() if other != name))
+        for definition in tree.body:
+            if (
+                isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                and not definition.name.startswith("_")
+                and definition.name not in elsewhere
+                and definition.name not in _named(tree, [definition, *all_lists])
+            ):
+                unread.append(f"{name}.{definition.name}")
+    assert unread == []

@@ -295,6 +295,12 @@ class TestPgvn:
         with pytest.raises(ValueError):
             HomogeneousVolumePolynomial(1, 1, {(1,): Fraction(1)})
 
+    def test_equality_compares_terms(self):
+        poly = pgvn_polynomial(2, 1)
+        assert poly != HomogeneousVolumePolynomial(2, 1, {(4,): Fraction(999)})
+        same = HomogeneousVolumePolynomial(2, 1, dict(poly.terms))
+        assert poly == same and hash(poly) == hash(same)
+
 
 def test_compositions_enumeration():
     assert sorted(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]

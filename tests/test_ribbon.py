@@ -10,20 +10,26 @@ import pytest
 from stratavol.permutation import compose, conjugate, cycle_count, cycles, inverse
 from stratavol.pnum import compositions, p_value, pgvn_polynomial
 from stratavol.ribbon import (
+    MAX_EDGES,
     PerimeterPair,
     RibbonGraph,
     Wall,
-    count_metrics,
     count_positive_trees,
     counting_function,
     enumerate_graphs,
     fit_ray_polynomial,
     p0_oracle,
-    tree_weights,
     verify_wall_constancy,
     wall_sample_point,
 )
-from stratavol.ribbon import _all_forms, _multigraphs, _sign_pattern
+from stratavol.ribbon import (
+    _all_forms,
+    _count_metrics,
+    _form_values,
+    _multigraphs,
+    _sign_pattern,
+    _spanning_tree,
+)
 
 
 def block_walls(max_size=4):
@@ -105,16 +111,16 @@ def reference_implies(wall, form):
     return all(x == 0 for x in v)
 
 
-# The free-edge scan that count_metrics replaced, kept here as the reference
-# only: every free edge ranges over its interval, and the tree edges are
-# checked on the residual perimeters through bridge forms found by one DFS
-# per tree edge.
+# The free-edge scan that _count_metrics replaced, kept here as the
+# reference only: every free edge ranges over its interval, and the tree
+# edges are checked on the residual perimeters through bridge forms found by
+# one DFS per tree edge.
 
 
 @cache
 def reference_tree(graph):
     """(ends, free edges, bridge forms as (blacks, whites) sets) of a DFS tree."""
-    k, l = graph.k, graph.l
+    k, l = max(graph.black_labels), max(graph.white_labels)
     ends = [(b - 1, k + w - 1) for b, w in zip(graph.black_labels, graph.white_labels)]
     adjacency = {v: [] for v in range(k + l)}
     for e, (b, w) in enumerate(ends):
@@ -143,7 +149,7 @@ def reference_tree(graph):
 
 
 def reference_count_metrics(graph, p):
-    k = graph.k
+    k = max(graph.black_labels)
     black, white = p.black, p.white
     if sum(black) != sum(white) or min(black + white) < 1:
         return 0
@@ -240,20 +246,49 @@ def reference_enumerate_graphs(g, k, l):
 
 # The per-class family sums that the fold onto labeled edge multisets
 # replaced, kept here as the reference only: every class of the family is
-# counted on its own, through the public per-graph functions.
+# counted on its own, by the reference scan and the reference bridge forms.
 
 
 def reference_counting_function(g, k, l, p):
     return sum(
-        (Fraction(count_metrics(graph, p), aut) for graph, aut in enumerate_graphs(g, k, l)),
+        (
+            Fraction(reference_count_metrics(graph, p), aut)
+            for graph, aut in enumerate_graphs(g, k, l)
+        ),
         Fraction(0),
     )
 
 
 def reference_positive_trees(k, l, p):
     return sum(
-        all(x > 0 for x in tree_weights(tree, p)) for tree, _ in enumerate_graphs(0, k, l)
+        all(
+            sum(p.black[i] for i in blacks) > sum(p.white[j] for j in whites)
+            for blacks, whites in reference_tree(tree)[2]
+        )
+        for tree, _ in enumerate_graphs(0, k, l)
     )
+
+
+def metric_count(graph, p):
+    """The metric count of one graph at a balanced positive point."""
+    edges = tuple(zip(graph.black_labels, graph.white_labels))
+    return _count_metrics(_spanning_tree(edges), _form_values(p))
+
+
+def forced_weights(tree, p):
+    """A tree's forced edge weights at p, in edge order: its bridge forms' values."""
+    forms, _ = _spanning_tree(tuple(zip(tree.black_labels, tree.white_labels)))
+    values = _form_values(p)
+    return tuple(values[forms[e]] for e in range(len(forms)))
+
+
+def stirling_first(n, k):
+    """The signed Stirling number of the first kind s(n, k)."""
+    row = [1]  # s(0, 0)
+    for m in range(n):
+        # s(m + 1, j) = s(m, j - 1) - m s(m, j)
+        row = [a - m * b for a, b in zip([0] + row, row + [0])]
+    return row[k] if k < len(row) else 0
 
 
 def balanced_points(k, l, max_side):
@@ -330,8 +365,9 @@ class TestEnumeration:
     def test_structural_invariants(self):
         for g, k, l in [(0, 2, 3), (1, 2, 1), (1, 2, 2), (2, 1, 1)]:
             for graph, aut in enumerate_graphs(g, k, l):
-                assert graph.face_count() == 1
-                assert graph.genus() == g
+                faces = cycle_count(compose(graph.rho_black, graph.rho_white))
+                assert faces == 1
+                assert k + l - len(graph.rho_black) + faces == 2 - 2 * g
                 assert sorted(set(graph.black_labels)) == list(range(1, k + 1))
                 assert sorted(set(graph.white_labels)) == list(range(1, l + 1))
                 assert aut >= 1
@@ -339,6 +375,27 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             enumerate_graphs(3, 2, 2)  # would need 9 edges
+
+    @pytest.mark.parametrize("g, k, l", [f for n in range(1, 8) for f in families(n)])
+    def test_weighted_count_matches_jackson_formula(self, g, k, l):
+        # Jackson (J. Combin. Theory A 49 (1988)): the factorizations of a
+        # fixed E-cycle into a permutation with k cycles and one with l
+        # cycles number A = E! sum_{p,q >= 1} (E-1)! / ((p-1)! (q-1)!
+        # (E-p-q+1)!) s(p,k)/p! s(q,l)/q!, s the signed Stirling numbers of
+        # the first kind.  The labelings multiply that by k! l! and the E
+        # rotations of the cycle divide it by E: the family weighs A k! l! / E.
+        edges = k + l - 1 + 2 * g
+        a = factorial(edges) * sum(
+            Fraction(
+                factorial(edges - 1) * stirling_first(p, k) * stirling_first(q, l),
+                factorial(p - 1) * factorial(q - 1) * factorial(edges - p - q + 1),
+            )
+            / (factorial(p) * factorial(q))
+            for p in range(1, edges + 1)
+            for q in range(1, edges + 2 - p)
+        )
+        weight = sum(Fraction(1, aut) for _, aut in enumerate_graphs(g, k, l))
+        assert weight == a * factorial(k) * factorial(l) / edges
 
     @pytest.mark.parametrize("g, k, l", [f for n in range(1, 7) for f in families(n)])
     def test_matches_reference_enumeration(self, g, k, l):
@@ -374,18 +431,20 @@ class TestEnumeration:
 class TestCountMetrics:
     def test_single_edge_tree(self):
         tree, _ = enumerate_graphs(0, 1, 1)[0]
-        assert count_metrics(tree, PerimeterPair((7,), (7,))) == 1
-        assert count_metrics(tree, PerimeterPair((0,), (0,))) == 0
+        assert metric_count(tree, PerimeterPair((7,), (7,))) == 1
+        assert metric_count(tree, PerimeterPair((0,), (0,))) == 0
 
     def test_triple_edge_compositions(self):
         graph, _ = enumerate_graphs(1, 1, 1)[0]
         for length in range(1, 9):
             expected = (length - 1) * (length - 2) // 2
-            assert count_metrics(graph, PerimeterPair((length,), (length,))) == expected
+            assert metric_count(graph, PerimeterPair((length,), (length,))) == expected
 
     def test_balance_forces_zero(self):
-        for graph, _ in enumerate_graphs(0, 2, 2):
-            assert count_metrics(graph, PerimeterPair((5, 2), (4, 2))) == 0
+        # off sum L = sum L' no graph of the family carries a metric
+        point = PerimeterPair((5, 2), (4, 2))
+        assert counting_function(0, 2, 2, point) == 0
+        assert count_positive_trees(2, 2, point) == 0
 
     def test_metric_assignment_round_trip(self):
         # the forced tree weights sum back to the prescribed perimeters at
@@ -393,7 +452,7 @@ class TestCountMetrics:
         point = PerimeterPair((5, 1), (4, 2))
         for tree, _ in enumerate_graphs(0, 2, 2):
             black, white = [0, 0], [0, 0]
-            for e, w in enumerate(tree_weights(tree, point)):
+            for e, w in enumerate(forced_weights(tree, point)):
                 b, wl = tree.black_labels[e], tree.white_labels[e]
                 black[b - 1] += w
                 white[wl - 1] += w
@@ -405,18 +464,27 @@ class TestCountMetrics:
     )
     def test_matches_reference_scan(self, g, k, l, max_total):
         # every point with perimeter total <= max_total: zero perimeters,
-        # unbalanced points and wall points such as L_1 = L'_1 included
+        # unbalanced points and wall points such as L_1 = L'_1 included; off
+        # the balanced positive points the family sum is 0 before any graph
+        # is counted
         points = [
             PerimeterPair(black, white)
             for black in product(range(max_total + 1), repeat=k)
             for white in product(range(max_total + 1), repeat=l)
             if sum(black) + sum(white) <= max_total
         ]
-        for graph, _ in enumerate_graphs(g, k, l):
-            for point in points:
-                assert count_metrics(graph, point) == reference_count_metrics(graph, point), (
-                    graph, point,
-                )
+        for point in points:
+            if point.is_balanced() and min(point.black + point.white) >= 1:
+                for graph, _ in enumerate_graphs(g, k, l):
+                    assert metric_count(graph, point) == reference_count_metrics(
+                        graph, point
+                    ), (graph, point)
+            else:
+                assert counting_function(g, k, l, point) == 0
+                assert all(
+                    reference_count_metrics(graph, point) == 0
+                    for graph, _ in enumerate_graphs(g, k, l)
+                ), point
 
     def test_tree_metric_is_indicator_of_positive_weights(self):
         # on a tree the metric count is 0 or 1, deciding positivity of the
@@ -428,9 +496,9 @@ class TestCountMetrics:
         ]
         for tree, _ in enumerate_graphs(0, 2, 2):
             for point in points:
-                weights = tree_weights(tree, point)
+                weights = forced_weights(tree, point)
                 expected = 1 if all(w > 0 for w in weights) else 0
-                assert count_metrics(tree, point) == expected
+                assert metric_count(tree, point) == expected
 
 
 class TestCountingFunction:
@@ -456,6 +524,14 @@ class TestCountingFunction:
         assert counting_function(0, 4, 5, point) == 0
         assert (enumerate_graphs.cache_info(), _multigraphs.cache_info()) == before
 
+    @pytest.mark.parametrize("g", [-1, 9])
+    def test_family_checked_at_every_point(self, g):
+        # an unbalanced point gives 0 only within a family that exists
+        point = PerimeterPair((1,), (2,))
+        match = "need g >= 0" if g < 0 else f"needs 19 edges; bound is {MAX_EDGES}"
+        with pytest.raises(ValueError, match=match):
+            counting_function(g, 1, 1, point)
+
     def test_arity_checked_first(self):
         with pytest.raises(ValueError, match="arity"):
             counting_function(0, 4, 5, PerimeterPair((9, 9, 9), (9, 9, 9, 9, 9)))
@@ -473,30 +549,20 @@ class TestCountingFunction:
 class TestTreeWeights:
     def test_single_edge(self):
         tree, _ = enumerate_graphs(0, 1, 1)[0]
-        assert tree_weights(tree, PerimeterPair((7,), (7,))) == (7,)
+        assert forced_weights(tree, PerimeterPair((7,), (7,))) == (7,)
 
     def test_path_example(self):
         # the path with edges b2-w2, b1-w2, b1-w1 at (5,1;4,2) carries (1,1,4)
         for tree, _ in enumerate_graphs(0, 2, 2):
             ends = list(zip(tree.black_labels, tree.white_labels))
             if sorted(ends) == [(1, 1), (1, 2), (2, 2)]:
-                weights = dict(zip(ends, tree_weights(tree, PerimeterPair((5, 1), (4, 2)))))
+                weights = dict(zip(ends, forced_weights(tree, PerimeterPair((5, 1), (4, 2)))))
                 assert weights[(2, 2)] == 1
                 assert weights[(1, 2)] == 1
                 assert weights[(1, 1)] == 4
                 break
         else:
             pytest.fail("path tree not found")
-
-    def test_unbalanced_rejected(self):
-        tree, _ = enumerate_graphs(0, 1, 1)[0]
-        with pytest.raises(ValueError):
-            tree_weights(tree, PerimeterPair((3,), (4,)))
-
-    def test_non_tree_rejected(self):
-        graph, _ = enumerate_graphs(1, 1, 1)[0]
-        with pytest.raises(ValueError):
-            tree_weights(graph, PerimeterPair((3,), (3,)))
 
 
 class TestTreeArity:
@@ -505,16 +571,11 @@ class TestTreeArity:
         [PerimeterPair((3, 3, 1), (4, 3)), PerimeterPair((3,), (1, 2))],
         ids=["long", "short"],
     )
-    @pytest.mark.parametrize("reader", ["tree_weights", "count_positive_trees"])
+    @pytest.mark.parametrize("reader", ["count_positive_trees"])
     def test_mismatch_rejected(self, reader, point):
         # a (0, 2, 2) reader at a point of another arity
-        tree, _ = enumerate_graphs(0, 2, 2)[0]
-        read = {
-            "tree_weights": lambda: tree_weights(tree, point),
-            "count_positive_trees": lambda: count_positive_trees(2, 2, point),
-        }[reader]
         with pytest.raises(ValueError, match="perimeter arity does not match the graph"):
-            read()
+            count_positive_trees(2, 2, point)
 
 
 class TestPositiveTrees:
@@ -524,6 +585,12 @@ class TestPositiveTrees:
     def test_worked_examples(self):
         assert count_positive_trees(2, 2, PerimeterPair((5, 1), (4, 2))) == 2
         assert count_positive_trees(2, 2, PerimeterPair((5, 1), (5, 1))) == 1
+
+    def test_unbalanced_point_gives_zero(self):
+        # no tree metric exists off sum L = sum L', whatever the signs of
+        # the bridge forms there
+        assert count_positive_trees(1, 1, PerimeterPair((5,), (3,))) == 0
+        assert count_positive_trees(2, 2, PerimeterPair((5, 1), (4, 3))) == 0
 
     def test_rational_points_allowed(self):
         point = PerimeterPair((Fraction(7, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(3, 2)))

@@ -10,7 +10,6 @@ from stratavol.series import (
     lagrange_invert,
     series_exp,
     series_inverse,
-    series_log,
     series_pow_u,
     sine_quotient,
 )
@@ -29,9 +28,9 @@ def random_series(rng, order, constant, u_free=True):
 
 
 # The algorithms the recurrences in stratavol.series replaced, kept here as
-# references only: power sums for exp and log, exp(u log f) for f^u, the
-# convolution loop for 1/f and back-substitution for the compositional
-# inverse.
+# references only: the power sum for exp, exp(u log f) for f^u with log by
+# its power sum, the convolution loop for 1/f and back-substitution for
+# the compositional inverse.  The log round trips run through reference_log.
 
 
 def reference_exp(f):
@@ -139,22 +138,20 @@ class TestExpLog:
         assert [c.constant() for c in e.coeffs] == [1, 1, Fraction(1, 2), Fraction(1, 6)]
 
     def test_log_of_one_plus_t(self):
-        l = series_log(TruncatedSeries.one(3) + TruncatedSeries.t(3))
+        l = reference_log(TruncatedSeries.one(3) + TruncatedSeries.t(3))
         assert [c.constant() for c in l.coeffs] == [0, 1, Fraction(-1, 2), Fraction(1, 3)]
 
     def test_constant_term_violations(self):
         with pytest.raises(ValueError):
             series_exp(TruncatedSeries.one(3))
-        with pytest.raises(ValueError):
-            series_log(TruncatedSeries.t(3))
 
     def test_round_trips_random_order_12(self):
         rng = random.Random(20240229)
         one = TruncatedSeries.one(12)
         for _ in range(5):
             f = random_series(rng, 12, constant=0)
-            assert series_log(series_exp(f)) == f
-            assert series_exp(series_log(one + f)) == one + f
+            assert reference_log(series_exp(f)) == f
+            assert series_exp(reference_log(one + f)) == one + f
 
 
 class TestPowU:
@@ -240,7 +237,6 @@ class TestAgainstReferences:
             f = random_series(rng, order, constant=0, u_free=False)
             one_plus_f = TruncatedSeries.one(order) + f
             assert series_exp(f) == reference_exp(f)
-            assert series_log(one_plus_f) == reference_log(one_plus_f)
             assert series_inverse(one_plus_f) == reference_inverse(one_plus_f)
 
     def test_product_u_dependent(self):
