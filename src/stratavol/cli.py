@@ -46,11 +46,13 @@ from .scalars import format_rational
 GMAX_LIMIT = 10
 WEIGHT_LIMIT = 20
 ORDER_LIMIT = 20
-# Lattice points `count ribbon` may visit.  The family sum runs over the
-# labeled edge multisets, which are at most as many as the graph classes,
-# and each scans at most max(perimeter)^(2g-1) values of its first 2g - 1
-# free edges and counts the last one in closed form.  So the bound
-# classes * max(perimeter)^(2g) used below is conservative twice over.
+# Lattice points `count ribbon` may visit.  At genus 0 the family sum tests
+# each of the k^(l-1) l^(k-1) spanning trees of K_{k,l} once.  Above it,
+# the sum runs over the labeled edge multisets, which are at most as many
+# as the graph classes, and each scans at most max(perimeter)^(2g-1) values
+# of its first 2g - 1 free edges and counts the last one in closed form.
+# So the bound classes * max(perimeter)^(2g) used below is conservative
+# twice over.
 RIBBON_WORK_LIMIT = 10**6
 
 
@@ -175,8 +177,9 @@ def _perimeter_point(args, genus: int) -> PerimeterPair:
 
 
 def _check_ribbon_work(genus: int, black: tuple[int, ...], white: tuple[int, ...]) -> None:
-    classes = len(ribbon.enumerate_graphs(genus, len(black), len(white)))
-    work = classes * max(1, *black, *white) ** (2 * genus)
+    k, l = len(black), len(white)
+    graphs = len(ribbon.enumerate_graphs(genus, k, l)) if genus else k ** (l - 1) * l ** (k - 1)
+    work = graphs * max(1, *black, *white) ** (2 * genus)
     if work > RIBBON_WORK_LIMIT:
         raise _Refused(
             f"count ribbon would visit up to {work} lattice points; "

@@ -27,8 +27,10 @@ rotations that fix both rho_black and the labeling.
 
 The metric count of a graph depends only on its labeled edge multiset, the
 (black label, white label) pairs of its edges, and not on the cyclic
-orders.  So every family sum, metric counts and positive trees alike, runs
-over the multisets, each weighted by the sum of 1/|Aut| over its classes.
+orders.  So a family sum runs over the multisets, each weighted by the sum
+of 1/|Aut| over its classes.  At genus 0 the multisets are the spanning
+trees of K_{k,l}, listed directly with their weights, and the family is
+never enumerated.
 
 A linear form on H_{k,l} with coefficients 0, 1 on the black perimeters and
 0, -1 on the white ones is an ``int`` bit mask over the k + l vertices: bit
@@ -329,14 +331,54 @@ def _multigraphs(g: int, k: int, l: int) -> dict:
     with that multiset.  The metric count of a graph depends only on which
     vertices its edges join, not on the cyclic orders, so a family sum over
     classes equals the weighted sum over multisets.  A weight is an ``int``
-    when every class with its multiset has |Aut| = 1, as every tree has, so
-    tree counts stay exact ints.
+    when every class with its multiset has |Aut| = 1.
     """
     weights: dict[tuple[tuple[int, int], ...], int | Fraction] = {}
     for graph, aut in enumerate_graphs(g, k, l):
         edges = tuple(sorted(zip(graph.black_labels, graph.white_labels)))
         weights[edges] = weights.get(edges, 0) + (1 if aut == 1 else Fraction(1, aut))
     return {edges: (_spanning_tree(edges), w) for edges, w in weights.items()}
+
+
+@cache
+def _trees(k: int, l: int) -> dict[int, int]:
+    """The k^(l-1) l^(k-1) spanning trees of K_{k,l}, the (0, k, l) family.
+
+    Maps each tree's bridge forms, as an ``int`` bitset with bit m set iff
+    the mask m is one of them, to its weight prod_v (deg v - 1)!: its plane
+    embeddings, each a class with |Aut| = 1.  The trees are rooted at black
+    vertex 0 and built from their rooted subtrees, each listed once per root
+    and vertex set S.  The edge from a subtree's root up to its parent has
+    bridge form S if that root is black, and the complement of S if white.
+    """
+    full = (1 << k + l) - 1
+
+    @cache
+    def forests(roots: int, vertices: int) -> list[tuple[int, int, int]]:
+        """(bits, weight, tree count) of each forest on ``vertices`` with roots in ``roots``.
+
+        The forest hangs from one vertex outside it; a weight counts the
+        orders of the children of the vertices inside.
+        """
+        if not vertices:
+            return [(0, 1, 0)]
+        low = vertices & -vertices
+        out = []
+        # The tree holding the lowest vertex: its vertex set, its root c,
+        # the forest below c and the forest on the other vertices.
+        for picks in product(*((0, 1 << v) for v in range(k + l) if (vertices ^ low) >> v & 1)):
+            tree = low + sum(picks)
+            rest = forests(roots, vertices ^ tree)
+            for c in range(k + l):
+                if (tree & roots) >> c & 1:
+                    form = 1 << (tree if c < k else full ^ tree)
+                    for bits, weight, children in forests(full ^ roots, tree ^ 1 << c):
+                        bits, weight = form | bits, weight * factorial(children)
+                        out += [(bits | b, weight * w, count + 1) for b, w, count in rest]
+        return out
+
+    whites = full ^ (1 << k) - 1
+    return {bits: weight * factorial(count - 1) for bits, weight, count in forests(whites, full ^ 1)}
 
 
 def _count_metrics(tree, values: list) -> int:
@@ -348,12 +390,10 @@ def _count_metrics(tree, values: list) -> int:
     with form m is values[m] - sum_e c_{m,e} x_e, where
     c_{m,e} = [b in m] - [w in m] is 1, -1 or 0.  The first 2g - 1 free
     edges are scanned; on the last one each constraint is a lower or an
-    upper bound, so its admissible weights form an interval.  On a tree
-    the count is 1 iff every bridge form is positive, at any point.
+    upper bound, so its admissible weights form an interval.  The graph
+    must have a free edge: a tree is counted by ``_family_sum``.
     """
     forms, free = tree
-    if not free:
-        return int(all(values[m] > 0 for m in forms.values()))
     # values[1 << b] is L_{b+1} and values[1 << w] is -L'_{w-k+1}.
     bounds = [min(values[1 << b], -values[1 << w]) for b, w in free]
     rows = [(values[m], [(m >> b & 1) - (m >> w & 1) for b, w in free]) for m in forms.values()]
@@ -379,7 +419,9 @@ def _family_sum(g: int, k: int, l: int, p: PerimeterPair):
 
     The family and the arity of p are checked first.  An unbalanced point,
     or one with a perimeter <= 0, admits no positive metric on any graph,
-    so it gives 0 before the family is enumerated.
+    so it gives 0 before the family is listed.  At genus 0 a tree carries
+    one metric iff all its bridge forms are positive, so the sum is the
+    weight of the trees whose bitset misses every nonpositive form.
     """
     _edge_count(g, k, l)
     if len(p.black) != k or len(p.white) != l:
@@ -387,6 +429,9 @@ def _family_sum(g: int, k: int, l: int, p: PerimeterPair):
     if not p.is_balanced() or any(x <= 0 for x in p.black + p.white):
         return 0
     values = _form_values(p)
+    if g == 0:
+        nonpositive = sum(1 << m for m, value in enumerate(values) if value <= 0)
+        return sum(w for bits, w in _trees(k, l).items() if not bits & nonpositive)
     return sum(w * _count_metrics(tree, values) for tree, w in _multigraphs(g, k, l).values())
 
 
@@ -394,7 +439,7 @@ def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
     """Automorphism-weighted metric count over the whole (g, k, l) family.
 
     The sum runs over the family's labeled edge multisets, each with its
-    weight; see ``_multigraphs`` and ``_family_sum``.
+    weight; see ``_multigraphs``, ``_trees`` and ``_family_sum``.
     """
     return Fraction(_family_sum(g, k, l, p))
 
@@ -403,8 +448,9 @@ def count_positive_trees(k: int, l: int, p: PerimeterPair) -> int:
     """Number of trees of the (0, k, l) family positive at the given point.
 
     Perimeters may be arbitrary rationals; only the signs of the induced
-    edge weights matter.  Each tree class has |Aut| = 1, so every weight is
-    an int and so is the count.
+    edge weights matter.  The sum runs over the spanning trees of K_{k,l},
+    each weighted by its number of plane embeddings (see ``_trees``), so the
+    count is an int.
     """
     return int(_family_sum(0, k, l, p))
 
@@ -457,8 +503,8 @@ def wall_sample_point(wall: Wall, seed: int = 0) -> PerimeterPair:
 def p0_oracle(b: tuple[int, ...], w: tuple[int, ...], seed: int = 0) -> int:
     """Positive-tree count at a generic point of the block wall W^b_w.
 
-    Brute-force oracle for the p-numbers: enumerates every tree of the
-    family and tests positivity of its forced weights at a sampled point.
+    Brute-force oracle for the p-numbers: lists every spanning tree of
+    K_{k,l} and tests positivity of its forced weights at a sampled point.
     """
     k, l = sum(b), sum(w)
     if k > 4 or l > 4:

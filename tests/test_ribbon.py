@@ -1,9 +1,8 @@
 import hashlib
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import pytest
 
@@ -29,6 +28,7 @@ from stratavol.ribbon import (
     _multigraphs,
     _sign_pattern,
     _spanning_tree,
+    _trees,
 )
 
 
@@ -259,6 +259,30 @@ def reference_counting_function(g, k, l, p):
     )
 
 
+def reference_trees(k, l):
+    """enumerate_graphs(0, k, l) folded onto bridge-form bitsets, weights sum 1/|Aut|.
+
+    The bridge forms come from reference_tree, as vertex masks (black i is
+    bit i, white j is bit k + j); bit m of a bitset is set iff m is one of
+    them.  They depend only on a class's edges, so reference_tree runs once
+    per edge multiset.
+    """
+    folded = {}
+    for graph, aut in enumerate_graphs(0, k, l):
+        edges = tuple(sorted(zip(graph.black_labels, graph.white_labels)))
+        first, weight = folded.get(edges, (graph, 0))
+        folded[edges] = (first, weight + Fraction(1, aut))
+    trees = {}
+    for graph, weight in folded.values():
+        bits = sum(
+            1 << (sum(1 << i for i in blacks) + sum(1 << k + j for j in whites))
+            for blacks, whites in reference_tree(graph)[2]
+        )
+        assert bits not in trees, graph
+        trees[bits] = weight
+    return trees
+
+
 def reference_positive_trees(k, l, p):
     return sum(
         all(
@@ -270,7 +294,7 @@ def reference_positive_trees(k, l, p):
 
 
 def metric_count(graph, p):
-    """The metric count of one graph at a balanced positive point."""
+    """The metric count of one graph with a free edge at a balanced positive point."""
     edges = tuple(zip(graph.black_labels, graph.white_labels))
     return _count_metrics(_spanning_tree(edges), _form_values(p))
 
@@ -299,6 +323,39 @@ def balanced_points(k, l, max_side):
         for black in compositions(side, k)
         for white in compositions(side, l)
     ]
+
+
+def points_up_to(k, l, max_total):
+    """Every point with entries >= 0 and perimeter total <= max_total."""
+    return [
+        PerimeterPair(black, white)
+        for black in product(range(max_total + 1), repeat=k)
+        for white in product(range(max_total + 1), repeat=l)
+        if sum(black) + sum(white) <= max_total
+    ]
+
+
+def jackson_weight(g, k, l):
+    """Sum of 1/|Aut| over the (g, k, l) family, by Jackson's formula.
+
+    Jackson (J. Combin. Theory A 49 (1988)): the factorizations of a fixed
+    E-cycle into a permutation with k cycles and one with l cycles number
+    A = E! sum_{p,q >= 1} (E-1)! / ((p-1)! (q-1)! (E-p-q+1)!) s(p,k)/p!
+    s(q,l)/q!, s the signed Stirling numbers of the first kind.  The
+    labelings multiply that by k! l! and the E rotations of the cycle
+    divide it by E: the family weighs A k! l! / E.
+    """
+    edges = k + l - 1 + 2 * g
+    a = factorial(edges) * sum(
+        Fraction(
+            factorial(edges - 1) * stirling_first(p, k) * stirling_first(q, l),
+            factorial(p - 1) * factorial(q - 1) * factorial(edges - p - q + 1),
+        )
+        / (factorial(p) * factorial(q))
+        for p in range(1, edges + 1)
+        for q in range(1, edges + 2 - p)
+    )
+    return a * factorial(k) * factorial(l) / edges
 
 
 def families(n_edges):
@@ -378,24 +435,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("g, k, l", [f for n in range(1, 8) for f in families(n)])
     def test_weighted_count_matches_jackson_formula(self, g, k, l):
-        # Jackson (J. Combin. Theory A 49 (1988)): the factorizations of a
-        # fixed E-cycle into a permutation with k cycles and one with l
-        # cycles number A = E! sum_{p,q >= 1} (E-1)! / ((p-1)! (q-1)!
-        # (E-p-q+1)!) s(p,k)/p! s(q,l)/q!, s the signed Stirling numbers of
-        # the first kind.  The labelings multiply that by k! l! and the E
-        # rotations of the cycle divide it by E: the family weighs A k! l! / E.
-        edges = k + l - 1 + 2 * g
-        a = factorial(edges) * sum(
-            Fraction(
-                factorial(edges - 1) * stirling_first(p, k) * stirling_first(q, l),
-                factorial(p - 1) * factorial(q - 1) * factorial(edges - p - q + 1),
-            )
-            / (factorial(p) * factorial(q))
-            for p in range(1, edges + 1)
-            for q in range(1, edges + 2 - p)
-        )
         weight = sum(Fraction(1, aut) for _, aut in enumerate_graphs(g, k, l))
-        assert weight == a * factorial(k) * factorial(l) / edges
+        assert weight == jackson_weight(g, k, l)
 
     @pytest.mark.parametrize("g, k, l", [f for n in range(1, 7) for f in families(n)])
     def test_matches_reference_enumeration(self, g, k, l):
@@ -430,9 +471,11 @@ class TestEnumeration:
 
 class TestCountMetrics:
     def test_single_edge_tree(self):
-        tree, _ = enumerate_graphs(0, 1, 1)[0]
-        assert metric_count(tree, PerimeterPair((7,), (7,))) == 1
-        assert metric_count(tree, PerimeterPair((0,), (0,))) == 0
+        # the (0, 1, 1) family is the single edge, whose metric count is the
+        # family sum
+        for point, expected in ((PerimeterPair((7,), (7,)), 1), (PerimeterPair((0,), (0,)), 0)):
+            assert counting_function(0, 1, 1, point) == expected
+            assert count_positive_trees(1, 1, point) == expected
 
     def test_triple_edge_compositions(self):
         graph, _ = enumerate_graphs(1, 1, 1)[0]
@@ -460,20 +503,15 @@ class TestCountMetrics:
 
     @pytest.mark.parametrize(
         "g, k, l, max_total",
-        [(0, 3, 3, 8), (1, 1, 1, 16), (1, 2, 1, 12), (1, 2, 2, 10), (2, 1, 1, 14)],
+        [(1, 1, 1, 16), (1, 2, 1, 12), (1, 2, 2, 10), (2, 1, 1, 14)],
     )
     def test_matches_reference_scan(self, g, k, l, max_total):
         # every point with perimeter total <= max_total: zero perimeters,
         # unbalanced points and wall points such as L_1 = L'_1 included; off
         # the balanced positive points the family sum is 0 before any graph
-        # is counted
-        points = [
-            PerimeterPair(black, white)
-            for black in product(range(max_total + 1), repeat=k)
-            for white in product(range(max_total + 1), repeat=l)
-            if sum(black) + sum(white) <= max_total
-        ]
-        for point in points:
+        # is counted.  The trees are compared in
+        # TestPositiveTrees::test_matches_reference_scan.
+        for point in points_up_to(k, l, max_total):
             if point.is_balanced() and min(point.black + point.white) >= 1:
                 for graph, _ in enumerate_graphs(g, k, l):
                     assert metric_count(graph, point) == reference_count_metrics(
@@ -488,17 +526,19 @@ class TestCountMetrics:
 
     def test_tree_metric_is_indicator_of_positive_weights(self):
         # on a tree the metric count is 0 or 1, deciding positivity of the
-        # unique forced weight vector
+        # unique forced weight vector; every (0, 2, 2) class has |Aut| = 1,
+        # so the family sum counts the trees whose weights are all positive
         points = [
             PerimeterPair((5, 1), (4, 2)),
             PerimeterPair((2, 2), (3, 1)),
             PerimeterPair((6, 3), (5, 4)),
         ]
-        for tree, _ in enumerate_graphs(0, 2, 2):
-            for point in points:
-                weights = forced_weights(tree, point)
-                expected = 1 if all(w > 0 for w in weights) else 0
-                assert metric_count(tree, point) == expected
+        trees = [tree for tree, _ in enumerate_graphs(0, 2, 2)]
+        for point in points:
+            expected = [int(all(w > 0 for w in forced_weights(tree, point))) for tree in trees]
+            assert [reference_count_metrics(tree, point) for tree in trees] == expected
+            assert counting_function(0, 2, 2, point) == sum(expected)
+            assert count_positive_trees(2, 2, point) == sum(expected)
 
 
 class TestCountingFunction:
@@ -520,9 +560,19 @@ class TestCountingFunction:
         ],
     )
     def test_infeasible_point_skips_family(self, point):
-        before = (enumerate_graphs.cache_info(), _multigraphs.cache_info())
+        caches = (enumerate_graphs, _multigraphs, _trees)
+        before = [reader.cache_info() for reader in caches]
         assert counting_function(0, 4, 5, point) == 0
-        assert (enumerate_graphs.cache_info(), _multigraphs.cache_info()) == before
+        assert [reader.cache_info() for reader in caches] == before
+
+    def test_genus_zero_lists_no_classes(self):
+        # every genus-0 reader sums over _trees, never over enumerate_graphs
+        before = enumerate_graphs.cache_info()
+        point = wall_sample_point(Wall.full_space(4, 5), seed=1)
+        assert counting_function(0, 4, 5, point) == count_positive_trees(4, 5, point) == 5040
+        assert p0_oracle((2, 2), (1, 3), seed=1) == p_value((3, 5))
+        assert verify_wall_constancy()
+        assert enumerate_graphs.cache_info() == before
 
     @pytest.mark.parametrize("g", [-1, 9])
     def test_family_checked_at_every_point(self, g):
@@ -597,6 +647,24 @@ class TestPositiveTrees:
         assert count_positive_trees(2, 2, point) == 2
         assert reference_positive_trees(2, 2, point) == 2
 
+    def test_matches_reference_scan(self):
+        # the (0, 3, 3) family at every point with perimeter total <= 8, as
+        # TestCountMetrics::test_matches_reference_scan takes the families
+        # of genus >= 1: zero perimeters, unbalanced and wall points included
+        trees = [tree for tree, _ in enumerate_graphs(0, 3, 3)]  # each |Aut| = 1
+        for point in points_up_to(3, 3, 8):
+            expected = sum(reference_count_metrics(tree, point) for tree in trees)
+            assert counting_function(0, 3, 3, point) == expected, point
+            assert count_positive_trees(3, 3, point) == expected, point
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_generic_points_at_eight_edges(self, k):
+        # a point of an open cell of H_{k,l} has (k + l - 2)! positive trees;
+        # at k + l = 9 no class is listed
+        for seed in range(3):
+            point = wall_sample_point(Wall.full_space(k, 9 - k), seed=seed)
+            assert count_positive_trees(k, 9 - k, point) == factorial(7), (seed, point)
+
     @pytest.mark.parametrize("k, l", list(product(range(1, 5), repeat=2)))
     def test_matches_per_class_count(self, k, l):
         for seed in range(3):
@@ -608,23 +676,29 @@ class TestPositiveTrees:
 
 class TestMultigraphs:
     def test_tree_weights_count_plane_embeddings(self):
-        # A labeled tree has prod_v (deg v - 1)! plane embeddings, each one
-        # class with |Aut| = 1, so that product is its weight; and the
-        # multisets are the k^(l-1) l^(k-1) spanning trees of K_{k,l}.
-        # Every genus-0 family with <= 7 edges: k + l <= 8.
+        # _trees lists the k^(l-1) l^(k-1) spanning trees of K_{k,l}, each
+        # weighted by its prod_v (deg v - 1)! plane embeddings.  For every
+        # genus-0 family with <= 7 edges (k + l <= 8) that is the fold of the
+        # family's classes onto their reference bridge forms.
         total = 0
         for k, l in product(range(1, 8), repeat=2):
             if k + l > 8:
                 continue
-            folded = _multigraphs(0, k, l)
-            assert len(folded) == k ** (l - 1) * l ** (k - 1)
-            for edges, (_, weight) in folded.items():
-                degrees = Counter(("b", b) for b, _ in edges)
-                degrees.update(("w", w) for _, w in edges)
-                expected = prod(factorial(d - 1) for d in degrees.values())
-                assert type(weight) is int and weight == expected, edges
-            total += len(folded)
+            trees = _trees(k, l)
+            assert len(trees) == k ** (l - 1) * l ** (k - 1)
+            assert all(type(weight) is int for weight in trees.values())
+            assert trees == reference_trees(k, l), (k, l)
+            total += len(trees)
         assert total == 9740
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_eight_edge_trees_match_jackson_formula(self, k):
+        # k + l = 9, past the enumeration: the tree count, and the family
+        # weight by Jackson's formula
+        l = 9 - k
+        trees = _trees(k, l)
+        assert len(trees) == k ** (l - 1) * l ** (k - 1)
+        assert sum(trees.values()) == jackson_weight(0, k, l)
 
 
 class TestWallSampling:
