@@ -46,13 +46,16 @@ from .scalars import format_rational
 GMAX_LIMIT = 10
 WEIGHT_LIMIT = 20
 ORDER_LIMIT = 20
-# Lattice points `count ribbon` may visit.  At genus 0 the family sum tests
-# each of the k^(l-1) l^(k-1) spanning trees of K_{k,l} once.  Above it,
-# the sum runs over the labeled edge multisets, which are at most as many
-# as the graph classes, and each scans at most max(perimeter)^(2g-1) values
-# of its first 2g - 1 free edges and counts the last one in closed form.
-# So the bound classes * max(perimeter)^(2g) used below is conservative
-# twice over.
+# Work cap of `count ribbon`.  At genus 0 the family sum tests each of the
+# k^(l-1) l^(k-1) spanning trees of K_{k,l} once.  Above it the guard is
+# graph classes * max(perimeter)^(2g), the lattice points a scan of every
+# edge weight off a spanning tree would visit.  That formula and this value
+# decide which inputs are accepted, but they do not bound the transfer of
+# `ribbon._count_metrics`, whose states per edge multiset are at most
+# prod_v (L_v + 1).  The slowest accepted inputs measured are the (1, 3, 4)
+# and (1, 4, 3) families at perimeters <= 3, e.g. (3,2,3; 2,1,2,3): about
+# 1.1 s end to end on a 2-vCPU x86 host, 0.2 s of it the count and most of
+# the rest listing the 79,380 classes.
 RIBBON_WORK_LIMIT = 10**6
 
 

@@ -28,9 +28,10 @@ rotations that fix both rho_black and the labeling.
 The metric count of a graph depends only on its labeled edge multiset, the
 (black label, white label) pairs of its edges, and not on the cyclic
 orders.  So a family sum runs over the multisets, each weighted by the sum
-of 1/|Aut| over its classes.  At genus 0 the multisets are the spanning
-trees of K_{k,l}, listed directly with their weights, and the family is
-never enumerated.
+of 1/|Aut| over its classes.  At genus >= 1 a multiset is counted by a
+transfer over its distinct edge pairs, with the remaining perimeters as
+the state.  At genus 0 the multisets are the spanning trees of K_{k,l},
+listed directly with their weights, and the family is never enumerated.
 
 A linear form on H_{k,l} with coefficients 0, 1 on the black perimeters and
 0, -1 on the white ones is an ``int`` bit mask over the k + l vertices: bit
@@ -42,13 +43,13 @@ indexing that one table.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as _all_perms
 from itertools import product
-from math import factorial
-from operator import mul
+from math import comb, factorial
 
 from .permutation import (
     Perm,
@@ -284,60 +285,22 @@ def _form_values(p: PerimeterPair) -> list:
     return values
 
 
-def _spanning_tree(edges: tuple[tuple[int, int], ...]):
-    """Spanning-tree data for metric counting on one labeled edge list.
-
-    ``edges`` lists the (black label, white label) pair of each edge.
-    Returns (forms, free): ``forms`` maps each tree edge's index to its
-    bridge form, the vertex mask of the black endpoint's side of the tree
-    minus that edge; ``free`` lists the (black, white) vertex indices of the
-    2g edges off the tree, with vertices 0..k-1 black and k..k+l-1 white.
-    """
-    k = max(b for b, _ in edges)
-    n_vertices = k + max(w for _, w in edges)
-    ends = [(b - 1, k + w - 1) for b, w in edges]
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n_vertices)}
-    for e, (b, w) in enumerate(ends):
-        adjacency[b].append((w, e))
-        adjacency[w].append((b, e))
-    # One BFS from vertex 0, then the subtree masks bottom-up.
-    parent_edge = {0: None}
-    order = [0]
-    for v in order:
-        for u, e in adjacency[v]:
-            if u not in parent_edge:
-                parent_edge[u] = e
-                order.append(u)
-    if len(order) != n_vertices:
-        raise ValueError("graph is not connected")
-    full = (1 << n_vertices) - 1
-    subtree = [1 << v for v in range(n_vertices)]
-    forms = {}
-    for v in reversed(order[1:]):
-        e = parent_edge[v]
-        b, w = ends[e]
-        subtree[w if v == b else b] |= subtree[v]
-        forms[e] = subtree[v] if v == b else full ^ subtree[v]
-    free = [ends[e] for e in range(len(ends)) if e not in forms]
-    return forms, free
-
-
 @cache
 def _multigraphs(g: int, k: int, l: int) -> dict:
     """The (g, k, l) family folded onto its labeled edge multisets.
 
     Maps each sorted tuple of (black label, white label) edge pairs to its
-    spanning-tree data and its weight, the sum of 1/|Aut| over the classes
-    with that multiset.  The metric count of a graph depends only on which
-    vertices its edges join, not on the cyclic orders, so a family sum over
-    classes equals the weighted sum over multisets.  A weight is an ``int``
-    when every class with its multiset has |Aut| = 1.
+    weight, the sum of 1/|Aut| over the classes with that multiset.  The
+    metric count of a graph depends only on which vertices its edges join,
+    not on the cyclic orders, so a family sum over classes equals the
+    weighted sum over multisets.  A weight is an ``int`` when every class
+    with its multiset has |Aut| = 1.
     """
     weights: dict[tuple[tuple[int, int], ...], int | Fraction] = {}
     for graph, aut in enumerate_graphs(g, k, l):
         edges = tuple(sorted(zip(graph.black_labels, graph.white_labels)))
         weights[edges] = weights.get(edges, 0) + (1 if aut == 1 else Fraction(1, aut))
-    return {edges: (_spanning_tree(edges), w) for edges, w in weights.items()}
+    return weights
 
 
 @cache
@@ -381,65 +344,73 @@ def _trees(k: int, l: int) -> dict[int, int]:
     return {bits: weight * factorial(count - 1) for bits, weight, count in forests(whites, full ^ 1)}
 
 
-def _count_metrics(tree, values: list) -> int:
-    """Metric count on one graph at a balanced positive point.
+def _count_metrics(edges: tuple[tuple[int, int], ...], p: PerimeterPair) -> int:
+    """Metric count on one labeled edge multiset at a balanced positive integer point.
 
-    ``tree`` is the graph's ``_spanning_tree`` and ``values`` is
-    ``_form_values`` of the point.  A free edge e = (b, w) with weight x_e
-    takes x_e off both of its perimeters, so the weight of the tree edge
-    with form m is values[m] - sum_e c_{m,e} x_e, where
-    c_{m,e} = [b in m] - [w in m] is 1, -1 or 0.  The first 2g - 1 free
-    edges are scanned; on the last one each constraint is a lower or an
-    upper bound, so its admissible weights form an interval.  The graph
-    must have a free edge: a tree is counted by ``_family_sum``.
+    ``edges`` lists the (black label, white label) pair of each edge.  The
+    m parallel edges of one distinct pair carry a total t >= m in
+    C(t - 1, m - 1) ways.  The pairs are walked in sorted order; a state is
+    the tuple of remaining perimeters, mapped to its number of ways.
+    ``left[v]`` counts the edges at v not walked yet, each of weight >= 1,
+    so a pair takes at most rem[v] - left[v] from an end v, and all of
+    rem[v] from an end it closes.  Every vertex closes, so the count is the
+    sum of the final states.
     """
-    forms, free = tree
-    # values[1 << b] is L_{b+1} and values[1 << w] is -L'_{w-k+1}.
-    bounds = [min(values[1 << b], -values[1 << w]) for b, w in free]
-    rows = [(values[m], [(m >> b & 1) - (m >> w & 1) for b, w in free]) for m in forms.values()]
-    total = 0
-    for xs in product(*(range(1, ub + 1) for ub in bounds[:-1])):
-        lo, hi = 1, bounds[-1]
-        for value, coeffs in rows:
-            # map stops at the end of xs, before the last edge's coefficient
-            base = value - sum(map(mul, coeffs, xs))
-            if coeffs[-1] > 0:
-                hi = min(hi, base - 1)
-            elif coeffs[-1] < 0:
-                lo = max(lo, 1 - base)
-            elif base < 1:
-                break
-        else:
-            total += max(0, hi - lo + 1)
-    return total
+    k = len(p.black)
+    pairs = sorted(Counter((b - 1, k + w - 1) for b, w in edges).items())
+    left = [0] * (k + len(p.white))
+    for (b, w), m in pairs:
+        left[b] += m
+        left[w] += m
+    states = {p.black + p.white: 1}
+    for (b, w), m in pairs:
+        left[b] -= m
+        left[w] -= m
+        walked: dict[tuple, int] = {}
+        for rem, ways in states.items():
+            lo = max(m, 0 if left[b] else rem[b], 0 if left[w] else rem[w])
+            hi = min(rem[b] - left[b], rem[w] - left[w])
+            # b < w: black vertices come first
+            head, mid, tail = rem[:b], rem[b + 1:w], rem[w + 1:]
+            for t in range(lo, hi + 1):
+                key = head + (rem[b] - t,) + mid + (rem[w] - t,) + tail
+                walked[key] = walked.get(key, 0) + ways * comb(t - 1, m - 1)
+        states = walked
+    return sum(states.values())
 
 
 def _family_sum(g: int, k: int, l: int, p: PerimeterPair):
     """Sum of w * _count_metrics over the (g, k, l) family's edge multisets.
 
-    The family and the arity of p are checked first.  An unbalanced point,
-    or one with a perimeter <= 0, admits no positive metric on any graph,
-    so it gives 0 before the family is listed.  At genus 0 a tree carries
-    one metric iff all its bridge forms are positive, so the sum is the
-    weight of the trees whose bitset misses every nonpositive form.
+    The family and the arity of p are checked first, and at genus >= 1 the
+    perimeters must be integers.  An unbalanced point, or one with a
+    perimeter <= 0, admits no positive metric on any graph, so it gives 0
+    before the family is listed.  At genus 0 a tree carries one metric iff
+    all its bridge forms are positive, so the sum is the weight of the
+    trees whose bitset misses every nonpositive form; there the point may
+    be rational.
     """
     _edge_count(g, k, l)
     if len(p.black) != k or len(p.white) != l:
         raise ValueError("perimeter arity does not match the graph")
+    if g and not all(isinstance(x, int) for x in p.black + p.white):
+        raise ValueError("metric counts at genus >= 1 need integer perimeters")
     if not p.is_balanced() or any(x <= 0 for x in p.black + p.white):
         return 0
-    values = _form_values(p)
     if g == 0:
-        nonpositive = sum(1 << m for m, value in enumerate(values) if value <= 0)
+        nonpositive = sum(1 << m for m, value in enumerate(_form_values(p)) if value <= 0)
         return sum(w for bits, w in _trees(k, l).items() if not bits & nonpositive)
-    return sum(w * _count_metrics(tree, values) for tree, w in _multigraphs(g, k, l).values())
+    return sum(w * _count_metrics(edges, p) for edges, w in _multigraphs(g, k, l).items())
 
 
 def counting_function(g: int, k: int, l: int, p: PerimeterPair) -> Fraction:
     """Automorphism-weighted metric count over the whole (g, k, l) family.
 
     The sum runs over the family's labeled edge multisets, each with its
-    weight; see ``_multigraphs``, ``_trees`` and ``_family_sum``.
+    weight; see ``_multigraphs``, ``_trees`` and ``_family_sum``.  At
+    genus >= 1 each multiset's metrics are counted by ``_count_metrics``,
+    and the perimeters must be ``int``: any other value, even ``5.0`` or
+    ``Fraction(5)``, raises ValueError.  At genus 0 they may be rational.
     """
     return Fraction(_family_sum(g, k, l, p))
 

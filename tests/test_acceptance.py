@@ -174,7 +174,7 @@ def test_criterion_11_asymptotics_sanity():
 
 
 def test_criterion_12_top_terms_beyond_genus_one():
-    with _Criterion(12, "genus-2 and genus-3 ray polynomials have the predicted top term", None):
+    with _Criterion(12, "genus-2 and genus-3 ray polynomials, and P^1_{3,3}, have the predicted top term", None):
         poly = fit_ray_polynomial(2, 2, 2, PerimeterPair((2, 1), (2, 1)), 6)
         assert len(poly) - 1 == 4
         assert poly[-1] == Fraction(142, 3) == pgvn_polynomial(2, 2).evaluate((2, 1))
@@ -190,3 +190,7 @@ def test_criterion_12_top_terms_beyond_genus_one():
         poly = fit_ray_polynomial(3, 1, 1, PerimeterPair((1,), (1,)), 8)
         assert len(poly) - 1 == 6
         assert poly[-1] == Fraction(1, 28) == pgvn_polynomial(3, 1).evaluate((1,))
+        # P^1_{3,3} on the diagonal wall of H_{3,3}
+        poly = fit_ray_polynomial(1, 3, 3, PerimeterPair((1, 2, 4), (1, 2, 4)), 4)
+        assert len(poly) - 1 == 2
+        assert poly[-1] == Fraction(1701, 2) == pgvn_polynomial(1, 3).evaluate((1, 2, 4))

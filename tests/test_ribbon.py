@@ -24,10 +24,8 @@ from stratavol.ribbon import (
 from stratavol.ribbon import (
     _all_forms,
     _count_metrics,
-    _form_values,
     _multigraphs,
     _sign_pattern,
-    _spanning_tree,
     _trees,
 )
 
@@ -119,7 +117,11 @@ def reference_implies(wall, form):
 
 @cache
 def reference_tree(graph):
-    """(ends, free edges, bridge forms as (blacks, whites) sets) of a DFS tree."""
+    """(ends, free edges, bridge forms) of a DFS tree.
+
+    The bridge forms map each tree edge's index to the (blacks, whites)
+    sets of its black endpoint's side of the tree minus that edge.
+    """
     k, l = max(graph.black_labels), max(graph.white_labels)
     ends = [(b - 1, k + w - 1) for b, w in zip(graph.black_labels, graph.white_labels)]
     adjacency = {v: [] for v in range(k + l)}
@@ -134,7 +136,7 @@ def reference_tree(graph):
                 visited.add(u)
                 tree_edges.append(e)
                 stack.append(u)
-    forms = []
+    forms = {}
     for removed in tree_edges:
         component, stack = {ends[removed][0]}, [ends[removed][0]]
         while stack:
@@ -143,16 +145,16 @@ def reference_tree(graph):
                 if e in tree_edges and e != removed and u not in component:
                     component.add(u)
                     stack.append(u)
-        forms.append(({v for v in component if v < k}, {v - k for v in component if v >= k}))
+        forms[removed] = ({v for v in component if v < k}, {v - k for v in component if v >= k})
     free_edges = [e for e in range(len(ends)) if e not in tree_edges]
     return ends, free_edges, forms
 
 
 def reference_count_metrics(graph, p):
-    k = max(graph.black_labels)
     black, white = p.black, p.white
     if sum(black) != sum(white) or min(black + white) < 1:
         return 0
+    k = max(graph.black_labels)
     ends, free_edges, forms = reference_tree(graph)
     ranges = [range(1, min(black[ends[e][0]], white[ends[e][1] - k]) + 1) for e in free_edges]
     total = 0
@@ -164,7 +166,7 @@ def reference_count_metrics(graph, p):
             res_white[w - k] -= value
         total += all(
             sum(res_black[i] for i in blacks) - sum(res_white[j] for j in whites) >= 1
-            for blacks, whites in forms
+            for blacks, whites in forms.values()
         )
     return total
 
@@ -276,7 +278,7 @@ def reference_trees(k, l):
     for graph, weight in folded.values():
         bits = sum(
             1 << (sum(1 << i for i in blacks) + sum(1 << k + j for j in whites))
-            for blacks, whites in reference_tree(graph)[2]
+            for blacks, whites in reference_tree(graph)[2].values()
         )
         assert bits not in trees, graph
         trees[bits] = weight
@@ -287,23 +289,24 @@ def reference_positive_trees(k, l, p):
     return sum(
         all(
             sum(p.black[i] for i in blacks) > sum(p.white[j] for j in whites)
-            for blacks, whites in reference_tree(tree)[2]
+            for blacks, whites in reference_tree(tree)[2].values()
         )
         for tree, _ in enumerate_graphs(0, k, l)
     )
 
 
 def metric_count(graph, p):
-    """The metric count of one graph with a free edge at a balanced positive point."""
-    edges = tuple(zip(graph.black_labels, graph.white_labels))
-    return _count_metrics(_spanning_tree(edges), _form_values(p))
+    """The metric count of one graph at a balanced positive integer point."""
+    return _count_metrics(tuple(zip(graph.black_labels, graph.white_labels)), p)
 
 
 def forced_weights(tree, p):
-    """A tree's forced edge weights at p, in edge order: its bridge forms' values."""
-    forms, _ = _spanning_tree(tuple(zip(tree.black_labels, tree.white_labels)))
-    values = _form_values(p)
-    return tuple(values[forms[e]] for e in range(len(forms)))
+    """A tree's forced edge weights at p, in edge order: its reference bridge forms' values."""
+    forms = reference_tree(tree)[2]
+    return tuple(
+        sum(p.black[i] for i in forms[e][0]) - sum(p.white[j] for j in forms[e][1])
+        for e in range(len(forms))
+    )
 
 
 def stirling_first(n, k):
@@ -503,7 +506,10 @@ class TestCountMetrics:
 
     @pytest.mark.parametrize(
         "g, k, l, max_total",
-        [(1, 1, 1, 16), (1, 2, 1, 12), (1, 2, 2, 10), (2, 1, 1, 14)],
+        [
+            (1, 1, 1, 16), (1, 2, 1, 12), (1, 2, 2, 10), (2, 1, 1, 14),
+            (1, 2, 3, 10), (2, 1, 2, 12), (3, 1, 1, 8), (1, 3, 3, 7),
+        ],
     )
     def test_matches_reference_scan(self, g, k, l, max_total):
         # every point with perimeter total <= max_total: zero perimeters,
@@ -523,6 +529,27 @@ class TestCountMetrics:
                     reference_count_metrics(graph, point) == 0
                     for graph, _ in enumerate_graphs(g, k, l)
                 ), point
+
+    @pytest.mark.parametrize(
+        "g, k, l, point",
+        [
+            (1, 2, 3, PerimeterPair((5, 4), (3, 3, 3))),
+            (1, 2, 4, PerimeterPair((5, 4), (3, 2, 2, 2))),
+            (1, 3, 3, PerimeterPair((4, 3, 2), (3, 3, 3))),
+            (2, 1, 2, PerimeterPair((8,), (5, 3))),
+            (2, 2, 2, PerimeterPair((4, 4), (5, 3))),
+        ],
+    )
+    def test_multisets_match_reference_scan_at_nonzero_points(self, g, k, l, point):
+        # the grids above reach no nonzero count of the families with 6 or
+        # 7 edges but (2, 1, 2); here every edge multiset is counted against
+        # the reference scan on one of its classes
+        graphs = {}
+        for graph, _ in enumerate_graphs(g, k, l):
+            graphs.setdefault(tuple(sorted(zip(graph.black_labels, graph.white_labels))), graph)
+        for edges, graph in graphs.items():
+            assert _count_metrics(edges, point) == reference_count_metrics(graph, point), edges
+        assert counting_function(g, k, l, point) > 0
 
     def test_tree_metric_is_indicator_of_positive_weights(self):
         # on a tree the metric count is 0 or 1, deciding positivity of the
@@ -585,6 +612,22 @@ class TestCountingFunction:
     def test_arity_checked_first(self):
         with pytest.raises(ValueError, match="arity"):
             counting_function(0, 4, 5, PerimeterPair((9, 9, 9), (9, 9, 9, 9, 9)))
+
+    @pytest.mark.parametrize("x", [Fraction(5, 2), Fraction(5), 5.0], ids=["5/2", "Fraction(5)", "5.0"])
+    def test_genus_one_needs_integer_perimeters(self, x):
+        # metrics at genus >= 1 are lattice points; genus 0 keeps rational
+        # points (TestPositiveTrees::test_rational_points_allowed)
+        with pytest.raises(ValueError, match="need integer perimeters"):
+            counting_function(1, 1, 1, PerimeterPair((x,), (x,)))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_parallel_edge_families(self, g):
+        # the (g, 1, 1) family is one multiset of 2g + 1 parallel edges,
+        # whose metrics at (L; L) are the compositions of L into 2g + 1 parts
+        weight = jackson_weight(g, 1, 1)
+        for length in range(1, 41):
+            point = PerimeterPair((length,), (length,))
+            assert counting_function(g, 1, 1, point) == weight * comb(length - 1, 2 * g)
 
     @pytest.mark.parametrize("g, k, l", [f for n in range(1, 7) for f in families(n)])
     def test_matches_per_class_sum(self, g, k, l):
@@ -690,6 +733,24 @@ class TestMultigraphs:
             assert trees == reference_trees(k, l), (k, l)
             total += len(trees)
         assert total == 9740
+
+    def test_multisets_are_connected_and_weighted(self):
+        # every multiset of a family of genus >= 1 with <= 7 edges has E
+        # edges, touches all k + l vertices and is connected, and the
+        # weights sum to the family's weight by Jackson's formula
+        for g, k, l in [f for n in range(1, 8) for f in families(n) if f[0] >= 1]:
+            multigraphs = _multigraphs(g, k, l)
+            vertices = {("b", i) for i in range(1, k + 1)} | {("w", j) for j in range(1, l + 1)}
+            for edges in multigraphs:
+                assert len(edges) == k + l - 1 + 2 * g
+                reached, grown = set(), {("b", 1)}
+                while grown != reached:
+                    reached = grown
+                    grown = reached.union(
+                        *({("b", b), ("w", w)} for b, w in edges if {("b", b), ("w", w)} & reached)
+                    )
+                assert reached == vertices, edges
+            assert sum(multigraphs.values()) == jackson_weight(g, k, l), (g, k, l)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_eight_edge_trees_match_jackson_formula(self, k):
