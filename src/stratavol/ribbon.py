@@ -344,6 +344,22 @@ def _trees(k: int, l: int) -> dict[int, int]:
     return {bits: weight * factorial(count - 1) for bits, weight, count in forests(whites, full ^ 1)}
 
 
+@cache
+def _walk(edges: tuple, k: int) -> tuple:
+    """The (b, w, m, left[b], left[w]) of ``_count_metrics``, listed once per multiset."""
+    pairs = sorted(Counter((b - 1, k + w - 1) for b, w in edges).items())
+    left = [0] * (k + max(w for _, w in edges))
+    for (b, w), m in pairs:
+        left[b] += m
+        left[w] += m
+    walk = []
+    for (b, w), m in pairs:
+        left[b] -= m
+        left[w] -= m
+        walk.append((b, w, m, left[b], left[w]))
+    return tuple(walk)
+
+
 def _count_metrics(edges: tuple[tuple[int, int], ...], p: PerimeterPair) -> int:
     """Metric count on one labeled edge multiset at a balanced positive integer point.
 
@@ -356,20 +372,12 @@ def _count_metrics(edges: tuple[tuple[int, int], ...], p: PerimeterPair) -> int:
     rem[v] from an end it closes.  Every vertex closes, so the count is the
     sum of the final states.
     """
-    k = len(p.black)
-    pairs = sorted(Counter((b - 1, k + w - 1) for b, w in edges).items())
-    left = [0] * (k + len(p.white))
-    for (b, w), m in pairs:
-        left[b] += m
-        left[w] += m
     states = {p.black + p.white: 1}
-    for (b, w), m in pairs:
-        left[b] -= m
-        left[w] -= m
+    for b, w, m, left_b, left_w in _walk(edges, len(p.black)):
         walked: dict[tuple, int] = {}
         for rem, ways in states.items():
-            lo = max(m, 0 if left[b] else rem[b], 0 if left[w] else rem[w])
-            hi = min(rem[b] - left[b], rem[w] - left[w])
+            lo = max(m, 0 if left_b else rem[b], 0 if left_w else rem[w])
+            hi = min(rem[b] - left_b, rem[w] - left_w)
             # b < w: black vertices come first
             head, mid, tail = rem[:b], rem[b + 1:w], rem[w + 1:]
             for t in range(lo, hi + 1):

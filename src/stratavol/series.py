@@ -21,12 +21,21 @@ coefficients at order n; the inverse runs one power per coefficient:
 
 Composition keeps its Horner evaluation; the tests use it as the
 independent check q(r(t)) = t of the inverse.
+
+Every product of coefficients, in those recurrences, in series and
+UPoly multiplication and in composition, runs through one kernel,
+``_dot``.  It works on integers inside: each UPoly keeps, next to its
+public tuple of Fractions, its numerators over the lcm of their
+denominators, and ``_dot`` sums into ``int`` accumulators over one
+common denominator.  Fractions appear at the boundary only, once per
+output coefficient, and the recurrences' division by k rides along as
+that denominator's last factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 __all__ = [
     "UPoly",
@@ -42,13 +51,25 @@ __all__ = [
 class UPoly:
     """Dense polynomial in the auxiliary variable u over Fraction."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_form")
 
     def __init__(self, coeffs=()) -> None:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._form = None
+
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den) with coeffs[j] = nums[j] / den, den the lcm of the denominators.
+
+        Computed on first use and kept: the product kernel ``_dot`` works on
+        this form only.
+        """
+        if self._form is None:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            self._form = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+        return self._form
 
     @staticmethod
     def const(q) -> "UPoly":
@@ -96,15 +117,7 @@ class UPoly:
 
     def __mul__(self, other):
         if isinstance(other, UPoly):
-            if not self.coeffs or not other.coeffs:
-                return UPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UPoly(out)
+            return _dot((((1,), self, other),))
         return UPoly(tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -261,61 +274,86 @@ class TruncatedSeries:
         return f"<series order {self.order}: {body}>"
 
 
-def _dot(terms) -> UPoly:
-    """The sum of w * x * y over the triples (w, x, y) in terms.
+def _dot(terms, divisor: int = 1) -> UPoly:
+    """The sum of w * x * y over the triples (w, x, y) in terms, over divisor.
 
-    x and y are UPolys; w is a tuple of u-coefficients, so a small weight
-    such as (j,) or (j - k, j) costs no UPoly of its own.
+    x and y are UPolys; w is a tuple of ``int`` u-coefficients, so a small
+    weight such as (j,) or (j - k, j) costs no UPoly of its own.  The loop
+    runs on integers: it convolves w with the numerators of the integer
+    forms of x and y, adding into one ``int`` accumulator per power of u
+    over a running common denominator, which grows to the lcm when a term
+    brings a new denominator.  Fractions appear only at the boundary, one
+    per output coefficient.
     """
-    out: list[Fraction] = []
+    acc: list[int] = []
+    den = 1
     for w, x, y in terms:
-        if not x.coeffs or not y.coeffs:
+        xs, dx = x._integer_form()
+        ys, dy = y._integer_form()
+        if not xs or not ys:
             continue
-        top = len(w) + len(x.coeffs) + len(y.coeffs) - 2
-        if len(out) < top:
-            out.extend([Fraction(0)] * (top - len(out)))
+        d = dx * dy
+        if den % d:
+            grown = lcm(den, d)
+            scale = grown // den
+            acc = [v * scale for v in acc]
+            den = grown
+        scale = den // d
+        top = len(w) + len(xs) + len(ys) - 2
+        if len(acc) < top:
+            acc.extend([0] * (top - len(acc)))
         for i, a in enumerate(w):
-            for j, b in enumerate(x.coeffs, i):
+            a *= scale
+            if not a:
+                continue
+            for j, b in enumerate(xs, i):
                 ab = a * b
                 if not ab:
                     continue
-                for k, c in enumerate(y.coeffs, j):
-                    out[k] += ab * c
-    return UPoly(out)
+                for k, c in enumerate(ys, j):
+                    acc[k] += ab * c
+    den *= divisor
+    return UPoly(Fraction(v, den) for v in acc)
 
 
 def _power(f: TruncatedSeries, alpha, order: int | None = None) -> TruncatedSeries:
     """f^alpha to t^order (default f.order) for f(0) = 1, by Miller's recurrence.
 
-    alpha is a rational or a UPoly.  The coefficients P_k of f^alpha obey
-    k P_k = sum_{j=1..k} (alpha j - k + j) f_j P_{k-j}, since
-    f (f^alpha)' = alpha f' f^alpha.  Each coefficient costs O(k) products,
-    so the whole power costs O(order^2).
+    alpha is an ``int`` or a UPoly with integer coefficients (the callers
+    pass -1, u and -k); any other alpha raises ValueError.  The
+    coefficients P_k of f^alpha obey k P_k = sum_{j=1..k} (alpha j - k + j)
+    f_j P_{k-j}, since f (f^alpha)' = alpha f' f^alpha, so each weight
+    alpha j - k + j is a tuple of ints and k is the divisor of one integer
+    ``_dot``.  Each coefficient costs O(k) products, so the whole power
+    costs O(order^2).
     """
     n = f.order if order is None else order
-    alpha = alpha if isinstance(alpha, UPoly) else UPoly.const(alpha)
-    a0, rest = alpha.coefficient(0), alpha.coeffs[1:]
+    alpha = alpha.coeffs if isinstance(alpha, UPoly) else (Fraction(alpha),)
+    if any(a.denominator != 1 for a in alpha):
+        raise ValueError("alpha must be an int or a UPoly with integer coefficients")
+    a0, *rest = [a.numerator for a in alpha] or [0]
     ps = [UPoly.const(1)]
     for k in range(1, n + 1):
         terms = (
             ((a0 * j + j - k,) + tuple(a * j for a in rest), f.coeffs[j], ps[k - j])
             for j in range(1, k + 1)
         )
-        ps.append(_dot(terms) * Fraction(1, k))
+        ps.append(_dot(terms, k))
     return TruncatedSeries(n, ps)
 
 
 def series_exp(f: TruncatedSeries) -> TruncatedSeries:
     """exp(f) for f with zero constant term.
 
-    E = exp(f) solves E' = f' E, so k E_k = sum_{j=1..k} j f_j E_{k-j}.
+    E = exp(f) solves E' = f' E, so k E_k = sum_{j=1..k} j f_j E_{k-j},
+    one integer ``_dot`` with divisor k per coefficient.
     """
     if not f.constant_term().is_zero():
         raise ValueError("series_exp requires constant term 0")
     es = [UPoly.const(1)]
     for k in range(1, f.order + 1):
         terms = (((j,), f.coeffs[j], es[k - j]) for j in range(1, k + 1))
-        es.append(_dot(terms) * Fraction(1, k))
+        es.append(_dot(terms, k))
     return TruncatedSeries(f.order, es)
 
 

@@ -517,18 +517,18 @@ class TestCountMetrics:
         # the balanced positive points the family sum is 0 before any graph
         # is counted.  The trees are compared in
         # TestPositiveTrees::test_matches_reference_scan.
+        graphs = [graph for graph, _ in enumerate_graphs(g, k, l)]
         for point in points_up_to(k, l, max_total):
             if point.is_balanced() and min(point.black + point.white) >= 1:
-                for graph, _ in enumerate_graphs(g, k, l):
+                for graph in graphs:
                     assert metric_count(graph, point) == reference_count_metrics(
                         graph, point
                     ), (graph, point)
             else:
+                # the reference returns 0 there before it reads the graph,
+                # so one class stands for all of them
                 assert counting_function(g, k, l, point) == 0
-                assert all(
-                    reference_count_metrics(graph, point) == 0
-                    for graph, _ in enumerate_graphs(g, k, l)
-                ), point
+                assert reference_count_metrics(graphs[0], point) == 0, point
 
     @pytest.mark.parametrize(
         "g, k, l, point",

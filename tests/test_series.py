@@ -7,6 +7,7 @@ import pytest
 from stratavol.series import (
     TruncatedSeries,
     UPoly,
+    _power,
     lagrange_invert,
     series_exp,
     series_inverse,
@@ -31,6 +32,17 @@ def random_series(rng, order, constant, u_free=True):
 # references only: the power sum for exp, exp(u log f) for f^u with log by
 # its power sum, the convolution loop for 1/f and back-substitution for
 # the compositional inverse.  The log round trips run through reference_log.
+# Every product in them is the Fraction double loop of fraction_mul, so no
+# reference runs through the integer kernel stratavol.series._dot.
+
+
+def fraction_mul(a, b):
+    """a * b for UPolys, one Fraction product per pair of coefficients."""
+    out = [Fraction(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return UPoly(out)
 
 
 def reference_exp(f):
@@ -38,7 +50,7 @@ def reference_exp(f):
     result = TruncatedSeries.one(n)
     power = TruncatedSeries.one(n)
     for m in range(1, n + 1):
-        power = power * f
+        power = reference_mul(power, f)
         result = result + power * Fraction(1, factorial(m))
     return result
 
@@ -49,14 +61,16 @@ def reference_log(f):
     result = TruncatedSeries.zero(n)
     power = TruncatedSeries.one(n)
     for m in range(1, n + 1):
-        power = power * g
+        power = reference_mul(power, g)
         result = result + power * Fraction((-1) ** (m + 1), m)
     return result
 
 
 def reference_pow_u(f):
     logf = reference_log(f)
-    return reference_exp(TruncatedSeries(logf.order, [UPoly.u() * c for c in logf.coeffs]))
+    return reference_exp(
+        TruncatedSeries(logf.order, [fraction_mul(UPoly.u(), c) for c in logf.coeffs])
+    )
 
 
 def reference_inverse(f):
@@ -65,7 +79,7 @@ def reference_inverse(f):
     for m in range(1, n + 1):
         acc = UPoly.zero()
         for k in range(1, m + 1):
-            acc = acc + f.coeffs[k] * inv[m - k]
+            acc = acc + fraction_mul(f.coeffs[k], inv[m - k])
         inv.append(-acc)
     return TruncatedSeries(n, inv)
 
@@ -76,9 +90,17 @@ def reference_lagrange_invert(q):
     r = TruncatedSeries.t(n)
     for k in range(2, n + 1):
         cs = list(r.coeffs)
-        cs[k] = cs[k] - q.compose(r).coefficient(k)
+        cs[k] = cs[k] - reference_compose(q, r).coefficient(k)
         r = TruncatedSeries(n, cs)
     return r
+
+
+def reference_compose(q, r):
+    """q(r(t)) by Horner's rule over reference_mul."""
+    result = TruncatedSeries.zero(r.order)
+    for c in reversed(q.coeffs):
+        result = reference_mul(result, r) + TruncatedSeries.from_dict(r.order, {0: c})
+    return result
 
 
 def reference_mul(f, g):
@@ -92,8 +114,31 @@ def reference_mul(f, g):
         for j in range(n + 1 - i):
             b = g.coeffs[j]
             if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
+                out[i + j] = out[i + j] + fraction_mul(a, b)
     return TruncatedSeries(n, out)
+
+
+PRIMES = [p for p in range(2, 700) if all(p % d for d in range(2, p))]
+
+
+def kernel_series(rng, order, constant, degree):
+    """A series of u-degree <= degree for the kernel tests.
+
+    Each t-coefficient is the empty UPoly with probability 1/4.  Every other
+    rational coefficient has its own prime denominator and a numerator in
+    -9..9, so the denominators are pairwise different and some coefficients
+    are negative or zero.
+    """
+    primes = iter(rng.sample(PRIMES, order * (degree + 1)))
+    coeffs = [UPoly.const(constant)]
+    for _ in range(order):
+        if rng.random() < 0.25:
+            coeffs.append(UPoly.zero())
+        else:
+            coeffs.append(
+                UPoly([Fraction(rng.randint(-9, 9), next(primes)) for _ in range(degree + 1)])
+            )
+    return TruncatedSeries(order, coeffs)
 
 
 def at_u(f, m):
@@ -281,3 +326,70 @@ class TestAgainstReferences:
         q = TruncatedSeries(30, coeffs)
         assert any(not c.is_constant() for c in q.coeffs)
         assert q.compose(lagrange_invert(q)) == TruncatedSeries.t(30)
+
+
+class TestKernel:
+    """The integer kernel against the Fraction references at orders 1-30."""
+
+    def test_upoly_product(self):
+        rng = random.Random(2030)
+        polys = [UPoly.zero(), UPoly.const(-3), UPoly.u()] + list(
+            kernel_series(rng, 30, 0, 3).coeffs
+        )
+        assert any(p.is_zero() for p in polys[3:])
+        for a in polys:
+            for b in polys[::7]:
+                assert a * b == fraction_mul(a, b), (a, b)
+
+    @pytest.mark.parametrize("order", range(1, 31))
+    def test_series_product(self, order):
+        rng = random.Random(order)
+        f = kernel_series(rng, order, rng.randint(-3, 3), 2)
+        g = kernel_series(rng, order, 0, 1)
+        for x, y in [(f, g), (g, f), (f, f), (f, TruncatedSeries.zero(order))]:
+            assert x * y == reference_mul(x, y)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 18, 30])
+    def test_inverse(self, order):
+        rng = random.Random(100 + order)
+        f = kernel_series(rng, order, 1, 1 if order > 11 else 2)
+        assert series_inverse(f) == reference_inverse(f)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 18, 30])
+    def test_exp(self, order):
+        rng = random.Random(200 + order)
+        f = kernel_series(rng, order, 0, 1 if order > 11 else 2)
+        assert series_exp(f) == reference_exp(f)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 18, 30])
+    def test_pow_u(self, order):
+        rng = random.Random(300 + order)
+        f = kernel_series(rng, order, 1, 0)
+        assert series_pow_u(f) == reference_pow_u(f)
+
+    # The back-substitution reference costs O(order^4) products, about 5 s
+    # at order 30; test_compose_undoes_inverse_at_order_30 covers that order.
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 18])
+    def test_lagrange_invert(self, order):
+        rng = random.Random(400 + order)
+        f = kernel_series(rng, order, 0, 1 if order > 6 else 2)
+        q = TruncatedSeries(order, [UPoly.zero(), UPoly.const(1)] + list(f.coeffs[2:]))
+        assert lagrange_invert(q) == reference_lagrange_invert(q)
+
+    def test_power_with_polynomial_exponent(self):
+        # f^(2u - 3) = (f^u)^2 / f^3, with each side from the references
+        rng = random.Random(500)
+        f = kernel_series(rng, 12, 1, 0)
+        inverse, power_u = reference_inverse(f), reference_pow_u(f)
+        expected = reference_mul(
+            reference_mul(power_u, power_u),
+            reference_mul(reference_mul(inverse, inverse), inverse),
+        )
+        assert _power(f, UPoly((-3, 2))) == expected
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(1, 2), UPoly((0, Fraction(1, 2))), UPoly((Fraction(-3, 2), 1))]
+    )
+    def test_power_refuses_non_integral_exponent(self, alpha):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            _power(TruncatedSeries.one(4), alpha)

@@ -97,6 +97,9 @@ class TestInverseRoute:
     def test_agreement_at_benchmark_order(self):
         assert c_series_inverse_route(20) == c_series(20)
 
+    def test_agreement_at_order_30(self):
+        assert c_series_inverse_route(30) == c_series(30)
+
 
 class TestBivariateRelation:
     def test_trivial(self):
