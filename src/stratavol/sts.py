@@ -26,8 +26,23 @@ kept iff it is the least of its Stab(c)-conjugates, as in orderly
 generation (Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26
 (1998)), and a kept class is represented by the least of its
 Z(sigma_h)-conjugates, which may lie in the coset of another c of the
-orbit.  At sigma_h = id no c fits, since c id = c is not of the
-identity's type, so the census never walks all of S_N.
+orbit.  Entry 0 of the conjugate of sigma_v by y is
+y(sigma_v(y^{-1}(0))), so only the y reaching the least entry 0 build
+whole conjugates.  At sigma_h = id no c fits, since c id = c is not of
+the identity's type, so the census never walks all of S_N.
+
+The candidates c are found by their supports.  z maps the support of c
+onto that of z c z^{-1}, so the cycles on one (2g-1)-subset per
+Z(sigma_h)-orbit of subsets meet every orbit of c.  Z(sigma_h) =
+prod_L C_L wr S_{m_L} rotates each row (cycle of sigma_h) and permutes
+the rows of one length, so two subsets lie in one orbit iff they have
+the same sorted list of (row length, rotation-least bit pattern on the
+row) over the rows they meet.  A subset S meeting k rows is skipped when
+k > g, by Riemann-Hurwitz: the first-return map rho of sigma_h on S has
+k cycles, c restricted to S is one (2g-1)-cycle gamma, and c sigma_h
+has the cycle type of sigma_h only if gamma rho has k cycles too; gamma,
+rho and (gamma rho)^{-1} generate a transitive group on S with product
+1, so 1 + k + k <= (2g - 1) + 2, that is k <= g.
 
 The vertex permutation acts on bottom-left corners: rotating a full turn
 counterclockwise around the corner of square x visits the squares
@@ -51,11 +66,12 @@ anyway because a translation fixing the unique cone point is trivial.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial
+from math import lcm, prod
 from typing import Iterator
 
 from .permutation import (
@@ -71,9 +87,9 @@ from .permutation import (
     from_cycles,
     inverse,
     is_transitive,
+    multiplicity_factorial,
     partitions,
 )
-from .pnum import compositions
 from .ribbon import PerimeterPair, counting_function
 
 __all__ = [
@@ -107,11 +123,11 @@ class SquareTiledSurface:
 
     def vertex_permutation(self) -> Perm:
         """Action on bottom-left corners: sigma_v o sigma_h o sigma_v^-1 o sigma_h^-1."""
-        inv_h = inverse(self.sigma_h)
         inv_v = inverse(self.sigma_v)
-        n = self.num_squares
         return tuple(
-            self.sigma_v[self.sigma_h[inv_v[inv_h[x]]]] for x in range(n)
+            map(self.sigma_v.__getitem__,
+                map(self.sigma_h.__getitem__,
+                    map(inv_v.__getitem__, inverse(self.sigma_h))))
         )
 
 
@@ -140,6 +156,17 @@ def zero_profile(surface: SquareTiledSurface) -> list[int]:
     return profile if profile else [0]
 
 
+@cache
+def _rows(sh: Perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The rows (the cycles of sigma_h) and the index of each square's row."""
+    row_list = tuple(cycles(sh))
+    row_of = [0] * len(sh)
+    for idx, row in enumerate(row_list):
+        for x in row:
+            row_of[x] = idx
+    return row_list, tuple(row_of)
+
+
 def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition:
     """Split the surface along its singular horizontal circles.
 
@@ -149,21 +176,17 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
     internal circles are regular; stacking is well defined there because
     sigma_v then maps a row bijectively onto the next.
     """
-    sh, sv = surface.sigma_h, surface.sigma_v
+    sv = surface.sigma_v
     n = surface.num_squares
-    c = surface.vertex_permutation()
-    row_list = cycles(sh)
-    row_of = [0] * n
-    for idx, row in enumerate(row_list):
-        for x in row:
-            row_of[x] = idx
+    moved = {x for x, y in enumerate(surface.vertex_permutation()) if x != y}
+    row_list, row_of = _rows(surface.sigma_h)
 
     def top_is_singular(idx: int) -> bool:
-        return any(c[sv[x]] != sv[x] for x in row_list[idx])
+        return not moved.isdisjoint(map(sv.__getitem__, row_list[idx]))
 
     # On the torus no circle carries a cone point, sigma_v permutes the rows
     # in one cycle, and the one stack starts at row 0 and ends below it.
-    starts = [idx for idx, row in enumerate(row_list) if any(c[x] != x for x in row)] or [0]
+    starts = sorted({row_of[x] for x in moved}) or [0]
     covered = [False] * len(row_list)
     cylinders = []
     for start in starts:
@@ -193,11 +216,35 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
 # Enumeration up to simultaneous conjugation
 # ---------------------------------------------------------------------------
 
-def _cycles_of_length(n: int, m: int) -> Iterator[Perm]:
-    """Every m-cycle of S_n (m >= 2), each written from its least element."""
-    for first, *rest in combinations(range(n), m):
-        for tail in permutations(rest):
-            yield from_cycles([(first, *tail)], n)
+def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
+    """One (2g-1)-subset of the squares per Z(sigma_h)-orbit, meeting <= g rows.
+
+    Z(sigma_h) rotates each row and permutes the rows of one length, so
+    the orbit of a subset is named by the length of each row it meets with
+    the rotation-least bit pattern of the subset on that row, sorted.  The
+    first subset of each orbit is yielded, in the order of combinations.
+    A subset meeting more than g rows carries no vertex cycle c (module
+    docstring), so it is skipped.
+    """
+    row_list, row_of = _rows(sh)
+    keys = set()
+    for support in combinations(range(len(sh)), 2 * g - 1):
+        bits: dict[int, int] = {}
+        for x in support:
+            idx = row_of[x]
+            bits[idx] = bits.get(idx, 0) | 1 << row_list[idx].index(x)
+        if len(bits) > g:
+            continue
+        patterns = []
+        for idx, b in bits.items():
+            length = len(row_list[idx])
+            mask = (1 << length) - 1
+            least = min((b >> r | b << length - r) & mask for r in range(length))
+            patterns.append((length, least))
+        key = tuple(sorted(patterns))
+        if key not in keys:
+            keys.add(key)
+            yield support
 
 
 def _torus_classes(n_squares: int) -> Iterator[SquareTiledSurface]:
@@ -247,13 +294,16 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     each (2g-1)-cycle c with c sigma_h of the cycle type of sigma_h, the
     sigma_v with sigma_v sigma_h sigma_v^-1 = c sigma_h form the coset
     pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h, c sigma_h), and every
-    other c contributes none.  The c are walked in order, and a c in the
+    other c contributes none.  The c are the cycles on one support per
+    Z(sigma_h)-orbit of (2g-1)-subsets that meet at most g rows (no c
+    lies on one that meets more), walked in order, and a c in the
     Z(sigma_h)-orbit of an earlier one is skipped.  Conjugating c by every
     y in Z(sigma_h) gives its orbit and Stab(c).  A transitive coset
     member sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
     permutation; |Aut| is the number of y in Stab(c) that fix it, since an
     automorphism fixes c = [sigma_v, sigma_h], and the representative is
-    the least Z(sigma_h)-conjugate of the kept sigma_v.  Every |Aut| must
+    the least Z(sigma_h)-conjugate of the kept sigma_v, built only for the
+    y whose conjugate has the least entry 0.  Every |Aut| must
     be 1, and the kept classes of each orbit of c times |Stab(c)| must be
     the number of transitive coset members of c.
 
@@ -276,26 +326,35 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
 
 def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
     """The classes at g >= 2, one coset per Z(sigma_h)-orbit of c, unsorted."""
-    vertex_perms = list(_cycles_of_length(n_squares, 2 * g - 1))
     out = []
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
+        centralizer: tuple[Perm, ...] = ()
         seen: set[Perm] = set()
-        for c in vertex_perms:
+        candidates = (
+            from_cycles([(first, *tail)], n_squares)
+            for first, *rest in _supports(sh, g)
+            for tail in permutations(rest)
+        )
+        for c in candidates:
             if c in seen:
                 continue
             c_sh = compose(c, sh)
             if cycle_count(c_sh) != len(ctype) or cycle_type(c_sh) != ctype:
                 continue
+            if not centralizer:  # listed once some c fits, which none does at id
+                centralizer = centralizer_elements(sh)
+                # entry 0 of conjugate(y, sv) is y[sv[y^-1(0)]]
+                preimages_of_0 = [y.index(0) for y in centralizer]
             stabilizer = []
-            for y in centralizer_elements(sh):
+            for y in centralizer:
                 image = conjugate(y, c)
                 seen.add(image)
                 if image == c:
                     stabilizer.append(y)
             pi_0 = conjugator(sh, c_sh)
             members, first_kept = 0, len(out)
-            for z in centralizer_elements(sh):
+            for z in centralizer:
                 sv = compose(pi_0, z)
                 if not is_transitive(sh, sv):
                     continue
@@ -307,7 +366,13 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
                         break
                     aut += image == sv
                 else:
-                    sv = min(conjugate(y, sv) for y in centralizer_elements(sh))
+                    heads = [y[sv[i]] for y, i in zip(centralizer, preimages_of_0)]
+                    least = min(heads)
+                    sv = min(
+                        conjugate(y, sv)
+                        for y, head in zip(centralizer, heads)
+                        if head == least
+                    )
                     out.append((_in_stratum(SquareTiledSurface(sh, sv), g), aut))
             # A translation automorphism fixes the one zero, and no cyclic
             # cover is branched over one point, so every class has |Aut| = 1
@@ -326,15 +391,18 @@ def census(g: int, n_max: int) -> dict[tuple[int, int], tuple[int, Fraction]]:
 
     Values are (class count, 1/|Aut|-weighted class count).
     """
-    table: dict[tuple[int, int], tuple[int, Fraction]] = {}
+    cells: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)  # classes by |Aut|
     for n_squares in range(1, n_max + 1):
         for surface, aut in enumerate_sts(g, n_squares):
-            decomposition = cylinder_decomposition(surface)
-            n_cyl = decomposition.n_cylinders
+            n_cyl = cylinder_decomposition(surface).n_cylinders
             if not 1 <= n_cyl <= g:
                 raise AssertionError(f"cylinder count {n_cyl} outside 1..{g}")
-            count, weighted = table.get((n_cyl, n_squares), (0, Fraction(0)))
-            table[(n_cyl, n_squares)] = (count + 1, weighted + Fraction(1, aut))
+            cells[n_cyl, n_squares][aut] += 1
+    table = {}
+    for key, by_aut in cells.items():
+        den = lcm(*by_aut)
+        weighted = sum(count * (den // aut) for aut, count in by_aut.items())
+        table[key] = (by_aut.total(), Fraction(weighted, den))
     return table
 
 
@@ -357,26 +425,27 @@ def predicted_cumulative_count(g: int, n_cyl: int, n_max: int) -> Fraction:
 
     (1/n!) * sum over positive (h, L) with sum h_i L_i <= N of
     L_1 .. L_n * P^{g-n}_{n,n}(L; L), with the counting function evaluated
-    exactly at every lattice point (walls included).
+    exactly at every lattice point (walls included).  Every factor is
+    symmetric in L (relabeling black and white vertices alike keeps the
+    family count), so L runs over partitions, each weighted by its
+    n! / prod m_i! orderings, and the 1/n! cancels.
     """
     total = Fraction(0)
     all_lengths = (
         lengths
         for length_sum in range(n_cyl, n_max + 1)
-        for lengths in compositions(length_sum, n_cyl)
+        for lengths in partitions(length_sum)
+        if len(lengths) == n_cyl
     )
     for lengths in all_lengths:
-        weight = _h_tuple_count(lengths, n_max)
         value = counting_function(
             g - n_cyl, n_cyl, n_cyl, PerimeterPair(lengths, lengths)
         )
         if value == 0:
             continue
-        twist = 1
-        for length in lengths:
-            twist *= length
-        total += Fraction(twist * weight) * value
-    return total / factorial(n_cyl)
+        weight = prod(lengths) * _h_tuple_count(lengths, n_max)
+        total += Fraction(weight, multiplicity_factorial(lengths)) * value
+    return total
 
 
 def verify_cylinder_formula(g: int, n_max: int) -> bool:

@@ -85,22 +85,30 @@ def reference_inverse(f):
 
 
 def reference_lagrange_invert(q):
-    """Back-substitution: once r is right modulo t^k, subtract the defect of q(r) at t^k."""
+    """Back-substitution: once r is right modulo t^k, subtract the defect of q(r) at t^k.
+
+    powers[j][i] is [t^i] r^j.  For j >= 2 it reads only r_1 .. r_(i-1),
+    so each step first extends every power by its t^k coefficient, then
+    reads the defect [t^k] q(r) off them: O(order^3) products in all.
+    """
     n = q.order
-    r = TruncatedSeries.t(n)
+    rs = [UPoly.zero(), UPoly.const(1)]
+    powers = [None, rs]
     for k in range(2, n + 1):
-        cs = list(r.coeffs)
-        cs[k] = cs[k] - reference_compose(q, r).coefficient(k)
-        r = TruncatedSeries(n, cs)
-    return r
-
-
-def reference_compose(q, r):
-    """q(r(t)) by Horner's rule over reference_mul."""
-    result = TruncatedSeries.zero(r.order)
-    for c in reversed(q.coeffs):
-        result = reference_mul(result, r) + TruncatedSeries.from_dict(r.order, {0: c})
-    return result
+        rs.append(UPoly.zero())
+        for j in range(2, k + 1):
+            if j == k:
+                powers.append([UPoly.zero()] * k)
+            power, lower = powers[j], powers[j - 1]
+            acc = UPoly.zero()
+            for i in range(1, k - j + 2):
+                acc = acc + fraction_mul(rs[i], lower[k - i])
+            power.append(acc)
+        defect = UPoly.zero()
+        for j in range(1, k + 1):
+            defect = defect + fraction_mul(q.coeffs[j], powers[j][k])
+        rs[k] = -defect
+    return TruncatedSeries(n, rs)
 
 
 def reference_mul(f, g):
@@ -367,8 +375,7 @@ class TestKernel:
         f = kernel_series(rng, order, 1, 0)
         assert series_pow_u(f) == reference_pow_u(f)
 
-    # The back-substitution reference costs O(order^4) products, about 5 s
-    # at order 30; test_compose_undoes_inverse_at_order_30 covers that order.
+    # test_compose_undoes_inverse_at_order_30 covers order 30.
     @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 18])
     def test_lagrange_invert(self, order):
         rng = random.Random(400 + order)

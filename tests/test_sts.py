@@ -1,8 +1,8 @@
 import hashlib
 import io
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
 
@@ -17,15 +17,19 @@ from stratavol.permutation import (
     cycle_type,
     cycles,
     from_cycle_type,
+    from_cycles,
     inverse,
     is_transitive,
     partitions,
 )
+from stratavol.pnum import compositions
+from stratavol.ribbon import PerimeterPair, counting_function
 from stratavol.sts import (
     SquareTiledSurface,
     census,
     cylinder_decomposition,
     enumerate_sts,
+    predicted_cumulative_count,
     verify_cylinder_formula,
     zero_profile,
 )
@@ -41,6 +45,15 @@ CENSUS_DIGESTS_AT_8 = {
     2: "3aa79ebf080fba79389e78af38e05cc6d6f41c8c26bbd4b10de3d12dbe2fb661",
     3: "643dede9ae683cebf9c04e36743c00280cee662d6f29b420d748ed14091d7a8d",
     4: "d00d2d42dcf7c86aeb89b7abf0463c0d9bf7d9cbaade7403020a5045e5cdf66e",
+}
+
+# SHA-256 of repr(census(g, 8)), computed by the census that walked every
+# (2g-1)-cycle c and split cylinders with the rows rebuilt per surface.
+CENSUS_TABLE_DIGESTS_AT_8 = {
+    1: "1e71bb79eb56ded582299f8aff456875ee9412911640b55de719fb2dbe4013a5",
+    2: "aa7b410ecc5f75184018bef936c1a201dc217b7e72e61e258ad5be8140bae41c",
+    3: "a9e1691699a95593e28bb2e9c7957c873ddaacdd1bc1566887016de1ec936cb4",
+    4: "5b7306a2b56b3bf7efa3db447270359e28b40cbf8fff5afcea651594a4bf3423",
 }
 
 
@@ -88,6 +101,20 @@ def reference_enumerate_sts(g: int, n_squares: int):
             out.append((SquareTiledSurface(sh, min(orbit)), len(centralizer) // len(orbit)))
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
     return out
+
+
+def rows_met(sh, support) -> int:
+    return sum(1 for row in cycles(sh) if set(row) & set(support))
+
+
+def reference_cumulative_count(g: int, n_cyl: int, n_max: int) -> Fraction:
+    """The cylinder identity's right-hand side summed over compositions L."""
+    total = Fraction(0)
+    for length_sum in range(n_cyl, n_max + 1):
+        for lengths in compositions(length_sum, n_cyl):
+            value = counting_function(g - n_cyl, n_cyl, n_cyl, PerimeterPair(lengths, lengths))
+            total += prod(lengths) * sts._h_tuple_count(lengths, n_max) * value
+    return total / factorial(n_cyl)
 
 
 class TestSurfaceBasics:
@@ -245,6 +272,45 @@ class TestEnumeration:
             enumerate_sts.cache_clear()
 
 
+class TestSupports:
+    @pytest.mark.parametrize("n_squares", range(3, 8))
+    def test_one_support_per_orbit(self, n_squares):
+        # the orbits of the (2g-1)-subsets under every element of
+        # Z(sigma_h), each met by exactly its least subset
+        for ctype in partitions(n_squares):
+            sh = from_cycle_type(ctype)
+            for m in (3, 5, 7):
+                g = (m + 1) // 2
+                if m > n_squares:
+                    continue
+                orbits = {
+                    frozenset(
+                        tuple(sorted(z[x] for x in support)) for z in centralizer_elements(sh)
+                    )
+                    for support in combinations(range(n_squares), m)
+                    if rows_met(sh, support) <= g
+                }
+                kept = list(sts._supports(sh, g))
+                assert kept == sorted(min(orbit) for orbit in orbits), (ctype, m)
+
+    def test_vertex_cycle_meets_at_most_g_rows(self):
+        # over every (2g-1)-cycle c with c sigma_h of sigma_h's type, N <= 7:
+        # the most rows met is g, so the bound that _supports uses is tight
+        most = {}
+        for n_squares in range(3, 8):
+            for g in range(2, (n_squares + 3) // 2):
+                m = 2 * g - 1
+                for ctype in partitions(n_squares):
+                    sh = from_cycle_type(ctype)
+                    for first, *rest in combinations(range(n_squares), m):
+                        for tail in permutations(rest):
+                            c = from_cycles([(first, *tail)], n_squares)
+                            if cycle_type(compose(c, sh)) == ctype:
+                                k = rows_met(sh, (first, *tail))
+                                most[g] = max(most.get(g, 0), k)
+        assert most == {2: 2, 3: 3, 4: 4}
+
+
 class TestCensus:
     def test_cumulative_torus_counts(self):
         table = census(1, 3)
@@ -271,6 +337,11 @@ class TestCensus:
             weighted = sum(w for (_, nn), (_, w) in table.items() if nn == n_squares)
             assert weighted == Fraction(divisor_sum(n_squares), n_squares)
 
+    @pytest.mark.parametrize("g", sorted(CENSUS_TABLE_DIGESTS_AT_8))
+    def test_census_at_eight_squares_pinned(self, g):
+        text = repr(census(g, 8))
+        assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_TABLE_DIGESTS_AT_8[g]
+
     def test_genus_two_fixture(self):
         # pinned by the enumeration run; regression fixture
         table = census(2, 4)
@@ -296,3 +367,10 @@ class TestCylinderFormula:
     def test_genus_three(self):
         # the identity at g = 3, every cylinder count n <= 3, N <= 8
         assert verify_cylinder_formula(3, 8)
+
+    def test_genus_four(self):
+        assert verify_cylinder_formula(4, 8)
+
+    @pytest.mark.parametrize("n_cyl", [2, 3, 4])
+    def test_partition_sum_matches_composition_sum(self, n_cyl):
+        assert predicted_cumulative_count(4, n_cyl, 10) == reference_cumulative_count(4, n_cyl, 10)
