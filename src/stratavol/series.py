@@ -83,19 +83,11 @@ class UPoly:
     def u() -> "UPoly":
         return UPoly((0, 1))
 
-    @property
-    def degree(self) -> float:
-        """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
-
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def coefficient(self, j: int) -> Fraction:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else Fraction(0)
@@ -172,13 +164,6 @@ class TruncatedSeries:
     @staticmethod
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries(order, [UPoly.const(1)] + [UPoly.zero()] * order)
-
-    @staticmethod
-    def t(order: int) -> "TruncatedSeries":
-        cs = [UPoly.zero()] * (order + 1)
-        if order >= 1:
-            cs[1] = UPoly.const(1)
-        return TruncatedSeries(order, cs)
 
     @staticmethod
     def from_dict(order: int, entries: dict) -> "TruncatedSeries":

@@ -69,7 +69,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import lcm, prod
 from typing import Iterator
@@ -123,6 +123,12 @@ class SquareTiledSurface:
 
     def vertex_permutation(self) -> Perm:
         """Action on bottom-left corners: sigma_v o sigma_h o sigma_v^-1 o sigma_h^-1."""
+        return self._vertex_permutation
+
+    @cached_property
+    def _vertex_permutation(self) -> Perm:
+        # Computed once per surface: the census reads it for the stratum
+        # check and again to split the cylinders.
         inv_v = inverse(self.sigma_v)
         return tuple(
             map(self.sigma_v.__getitem__,
@@ -330,59 +336,58 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
         centralizer: tuple[Perm, ...] = ()
-        seen: set[Perm] = set()
-        candidates = (
-            from_cycles([(first, *tail)], n_squares)
-            for first, *rest in _supports(sh, g)
-            for tail in permutations(rest)
-        )
-        for c in candidates:
-            if c in seen:
-                continue
-            c_sh = compose(c, sh)
-            if cycle_count(c_sh) != len(ctype) or cycle_type(c_sh) != ctype:
-                continue
-            if not centralizer:  # listed once some c fits, which none does at id
-                centralizer = centralizer_elements(sh)
-                # entry 0 of conjugate(y, sv) is y[sv[y^-1(0)]]
-                preimages_of_0 = [y.index(0) for y in centralizer]
-            stabilizer = []
-            for y in centralizer:
-                image = conjugate(y, c)
-                seen.add(image)
-                if image == c:
-                    stabilizer.append(y)
-            pi_0 = conjugator(sh, c_sh)
-            members, first_kept = 0, len(out)
-            for z in centralizer:
-                sv = compose(pi_0, z)
-                if not is_transitive(sh, sv):
+        for first, *rest in _supports(sh, g):
+            # Kept supports lie in distinct Z(sigma_h)-orbits, so only the
+            # conjugates of this support's cycles can come up again.
+            seen: set[Perm] = set()
+            for tail in permutations(rest):
+                c = from_cycles([(first, *tail)], n_squares)
+                if c in seen:
                     continue
-                members += 1
-                aut = 0
-                for y in stabilizer:
-                    image = conjugate(y, sv)
-                    if image < sv:
-                        break
-                    aut += image == sv
-                else:
-                    heads = [y[sv[i]] for y, i in zip(centralizer, preimages_of_0)]
-                    least = min(heads)
-                    sv = min(
-                        conjugate(y, sv)
-                        for y, head in zip(centralizer, heads)
-                        if head == least
+                c_sh = compose(c, sh)
+                if cycle_count(c_sh) != len(ctype) or cycle_type(c_sh) != ctype:
+                    continue
+                if not centralizer:  # listed once some c fits, which none does at id
+                    centralizer = centralizer_elements(sh)
+                    # entry 0 of conjugate(y, sv) is y[sv[y^-1(0)]]
+                    preimages_of_0 = [y.index(0) for y in centralizer]
+                stabilizer = []
+                for y in centralizer:
+                    image = conjugate(y, c)
+                    seen.add(image)
+                    if image == c:
+                        stabilizer.append(y)
+                pi_0 = conjugator(sh, c_sh)
+                members, first_kept = 0, len(out)
+                for z in centralizer:
+                    sv = compose(pi_0, z)
+                    if not is_transitive(sh, sv):
+                        continue
+                    members += 1
+                    aut = 0
+                    for y in stabilizer:
+                        image = conjugate(y, sv)
+                        if image < sv:
+                            break
+                        aut += image == sv
+                    else:
+                        heads = [y[sv[i]] for y, i in zip(centralizer, preimages_of_0)]
+                        least = min(heads)
+                        sv = min(
+                            conjugate(y, sv)
+                            for y, head in zip(centralizer, heads)
+                            if head == least
+                        )
+                        out.append((_in_stratum(SquareTiledSurface(sh, sv), g), aut))
+                # A translation automorphism fixes the one zero, and no cyclic
+                # cover is branched over one point, so every class has |Aut| = 1
+                # and meets the coset of c in |Stab(c)| members.
+                kept = out[first_kept:]
+                if any(aut != 1 for _, aut in kept) or len(kept) * len(stabilizer) != members:
+                    raise AssertionError(
+                        f"census of sigma_h {sh}, c {c}: {len(kept)} classes with "
+                        f"|Stab(c)| = {len(stabilizer)} against {members} transitive coset members"
                     )
-                    out.append((_in_stratum(SquareTiledSurface(sh, sv), g), aut))
-            # A translation automorphism fixes the one zero, and no cyclic
-            # cover is branched over one point, so every class has |Aut| = 1
-            # and meets the coset of c in |Stab(c)| members.
-            kept = out[first_kept:]
-            if any(aut != 1 for _, aut in kept) or len(kept) * len(stabilizer) != members:
-                raise AssertionError(
-                    f"census of sigma_h {sh}, c {c}: {len(kept)} classes with "
-                    f"|Stab(c)| = {len(stabilizer)} against {members} transitive coset members"
-                )
     return out
 
 
@@ -406,59 +411,47 @@ def census(g: int, n_max: int) -> dict[tuple[int, int], tuple[int, Fraction]]:
     return table
 
 
-def _h_tuple_count(lengths: tuple[int, ...], budget: int) -> int:
-    """Number of positive h-tuples with sum h_i * L_i <= budget."""
-    if not lengths:
-        return 1
-    first, rest = lengths[0], lengths[1:]
-    total = 0
-    remaining = budget - sum(rest)  # each later h_i contributes at least L_i
-    h = 1
-    while h * first <= remaining:
-        total += _h_tuple_count(rest, budget - h * first)
-        h += 1
-    return total
+def predicted_counts(g: int, n_max: int) -> dict[tuple[int, int], Fraction]:
+    """Right-hand side of the cylinder identity, by (cylinder count n, squares N).
 
-
-def predicted_cumulative_count(g: int, n_cyl: int, n_max: int) -> Fraction:
-    """Right-hand side of the cylinder identity, summed up to n_max squares.
-
-    (1/n!) * sum over positive (h, L) with sum h_i L_i <= N of
+    The n-cylinder classes with N squares number (1/n!) times the sum,
+    over positive (h, L) with sum h_i L_i = N, of
     L_1 .. L_n * P^{g-n}_{n,n}(L; L), with the counting function evaluated
     exactly at every lattice point (walls included).  Every factor is
     symmetric in L (relabeling black and white vertices alike keeps the
     family count), so L runs over partitions, each weighted by its
-    n! / prod m_i! orderings, and the 1/n! cancels.
+    n! / prod m_i! orderings, and the 1/n! cancels.  The h-tuples of L,
+    for every N <= n_max at once, are the coefficients of
+    prod_i q^{L_i} / (1 - q^{L_i}).  Only the nonzero cells are listed.
     """
-    total = Fraction(0)
-    all_lengths = (
-        lengths
-        for length_sum in range(n_cyl, n_max + 1)
-        for lengths in partitions(length_sum)
-        if len(lengths) == n_cyl
-    )
-    for lengths in all_lengths:
-        value = counting_function(
-            g - n_cyl, n_cyl, n_cyl, PerimeterPair(lengths, lengths)
-        )
-        if value == 0:
-            continue
-        weight = prod(lengths) * _h_tuple_count(lengths, n_max)
-        total += Fraction(weight, multiplicity_factorial(lengths)) * value
-    return total
+    cells: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for length_sum in range(1, n_max + 1):
+        for lengths in partitions(length_sum):
+            n_cyl = len(lengths)
+            if n_cyl > g:
+                continue
+            value = counting_function(g - n_cyl, n_cyl, n_cyl, PerimeterPair(lengths, lengths))
+            if value == 0:
+                continue
+            h_tuples = [1] + [0] * n_max
+            for length in lengths:
+                shifted = [0] * (n_max + 1)  # times q^L / (1 - q^L)
+                for m in range(length, n_max + 1):
+                    shifted[m] = h_tuples[m - length] + shifted[m - length]
+                h_tuples = shifted
+            weight = Fraction(prod(lengths), multiplicity_factorial(lengths)) * value
+            for n_squares, count in enumerate(h_tuples):
+                if count:
+                    cells[n_cyl, n_squares] += weight * count
+    return {key: count for key, count in cells.items() if count}
 
 
 def verify_cylinder_formula(g: int, n_max: int) -> bool:
     """Cross-check the census against the tree/metric counting route.
 
-    For every n <= g the unweighted number of n-cylinder classes with at
-    most n_max squares must equal the exact lattice sum of the counting
-    functions.
+    For every n <= g and N <= n_max the unweighted number of n-cylinder
+    classes with N squares must equal the exact lattice sum of the
+    counting functions.
     """
-    table = census(g, n_max)
-    for n_cyl in range(1, g + 1):
-        observed = sum(count for (n, _), (count, _) in table.items() if n == n_cyl)
-        predicted = predicted_cumulative_count(g, n_cyl, n_max)
-        if predicted != observed:
-            return False
-    return True
+    observed = {key: count for key, (count, _) in census(g, n_max).items()}
+    return observed == predicted_counts(g, n_max)

@@ -44,58 +44,60 @@ __all__ = [
 
 
 @cache
-def a_gn(g: int, n: int) -> Fraction:
-    """Normalized n-cylinder contribution for genus g (Bernoulli form).
+def _genus_walk(g: int) -> tuple[Fraction, ...]:
+    """(a_{g,1}, .., a_{g,g}) from one walk over the partitions of g.
 
     a_{g,n} = (1/n!) sum over compositions s_1+..+s_n = g, s_i >= 1, of
     p_{2s_1,..,2s_n} prod_i (-1)^(s_i+1) B_{2s_i} / (2s_i (2s_i)!).
     The summand is symmetric in the s_i, so the sum runs over the
     partitions of g into n parts, each over prod_i m_i! for the
-    multiplicities m_i of its parts instead of n!.
+    multiplicities m_i of its parts instead of n!.  Each partition adds
+    its term to the entry n = len(parts).
+
+    The same walk sums the zeta form of the n-cylinder contribution,
+        (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i,
+    and asserts it equal to 2 (2 pi)^(2g) / (2g-1)! * a_{g,n}, and every
+    a_{g,n} positive; the pi-powers cancel identically.
     """
-    if not 1 <= n <= g:
-        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    total = Fraction(0)
+    bernoulli_sums = [Fraction(0)] * (g + 1)
+    zeta_sums = [PiScaled(Fraction(0), 2 * g)] * (g + 1)
     for parts in partitions(g):
-        if len(parts) != n:
-            continue
-        term = Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts))
+        weight = Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts))
+        term, zeta_term = weight, PiScaled(weight, 0)
         for s in parts:
             term *= Fraction((-1) ** (s + 1)) * bernoulli(2 * s) / (2 * s * factorial(2 * s))
-        total += term
-    if total <= 0:
-        raise AssertionError(f"a_{{{g},{n}}} must be positive, got {total}")
-    return total
+            zeta_term = zeta_term * zeta_even(s).scale(Fraction(1, s))
+        n = len(parts)
+        bernoulli_sums[n] += term
+        zeta_sums[n] = zeta_sums[n] + zeta_term
+    scale = Fraction(2, factorial(2 * g - 1))
+    for n in range(1, g + 1):
+        total = bernoulli_sums[n]
+        if total <= 0:
+            raise AssertionError(f"a_{{{g},{n}}} must be positive, got {total}")
+        result = PiScaled(scale * 2 ** (2 * g) * total, 2 * g)
+        zeta_total = zeta_sums[n].scale(scale)
+        if zeta_total != result:
+            raise AssertionError(
+                f"zeta and Bernoulli forms disagree at (g,n)=({g},{n}): "
+                f"{zeta_total} vs {result}"
+            )
+    return tuple(bernoulli_sums[1:])
+
+
+def a_gn(g: int, n: int) -> Fraction:
+    """Normalized n-cylinder contribution for genus g (Bernoulli form)."""
+    if not 1 <= n <= g:
+        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
+    return _genus_walk(g)[n - 1]
 
 
 def vol_n(g: int, n: int) -> PiScaled:
     """Contribution of n-cylinder surfaces: 2 (2 pi)^(2g) / (2g-1)! * a_{g,n}.
 
-    Also computed through the zeta form
-        (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i,
-    summed like a_gn over the partitions of g into n parts, and asserted
-    equal; the pi-powers cancel identically.
+    The walk behind a_gn has checked it against the zeta form.
     """
-    coeff = Fraction(2) * 2 ** (2 * g) / factorial(2 * g - 1) * a_gn(g, n)
-    result = PiScaled(coeff, 2 * g)
-
-    zeta_total = PiScaled(Fraction(0), 2 * g)
-    for parts in partitions(g):
-        if len(parts) != n:
-            continue
-        term = PiScaled(
-            Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts)), 0
-        )
-        for s in parts:
-            term = term * zeta_even(s).scale(Fraction(1, s))
-        zeta_total = zeta_total + term
-    zeta_total = zeta_total.scale(Fraction(2, factorial(2 * g - 1)))
-    if zeta_total != result:
-        raise AssertionError(
-            f"zeta and Bernoulli forms disagree at (g,n)=({g},{n}): "
-            f"{zeta_total} vs {result}"
-        )
-    return result
+    return PiScaled(a_gn(g, n) * Fraction(2 ** (2 * g + 1), factorial(2 * g - 1)), 2 * g)
 
 
 def total_volume(g: int) -> PiScaled:
@@ -114,10 +116,7 @@ def c_series(order: int) -> TruncatedSeries:
         raise ValueError("order must be even and positive")
     entries: dict[int, UPoly] = {0: UPoly.const(1)}
     for g in range(1, order // 2 + 1):
-        poly = [Fraction(0)] * (g + 1)
-        for n in range(1, g + 1):
-            poly[n] = Fraction(2 * g - 1) * a_gn(g, n)
-        entries[2 * g] = UPoly(poly)
+        entries[2 * g] = UPoly((0, *(Fraction(2 * g - 1) * a for a in _genus_walk(g))))
     return TruncatedSeries.from_dict(order, entries)
 
 
@@ -200,13 +199,14 @@ def cylinder_partial_sum(s: tuple[int, ...], n_max: int) -> int:
     return sum(acc[1:])
 
 
-def _zeta_float(k: int, cutoff: int = 10**5) -> float:
+def _zeta_float(k: int) -> float:
     """zeta(k) for integer k >= 2, accurate to ~1e-12.
 
     Partial sum plus the first Euler-Maclaurin corrections for the tail.
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    cutoff = 10**5
     total = sum(n ** (-float(k)) for n in range(1, cutoff + 1))
     m = float(cutoff)
     total += m ** (1.0 - k) / (k - 1.0) - 0.5 * m ** (-float(k)) + (k / 12.0) * m ** (

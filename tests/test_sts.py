@@ -1,8 +1,9 @@
 import hashlib
 import io
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
@@ -29,7 +30,7 @@ from stratavol.sts import (
     census,
     cylinder_decomposition,
     enumerate_sts,
-    predicted_cumulative_count,
+    predicted_counts,
     verify_cylinder_formula,
     zero_profile,
 )
@@ -107,14 +108,22 @@ def rows_met(sh, support) -> int:
     return sum(1 for row in cycles(sh) if set(row) & set(support))
 
 
-def reference_cumulative_count(g: int, n_cyl: int, n_max: int) -> Fraction:
-    """The cylinder identity's right-hand side summed over compositions L."""
-    total = Fraction(0)
+def reference_counts(g: int, n_cyl: int, n_max: int) -> dict[int, Fraction]:
+    """The cylinder identity's right-hand side per N, over compositions L and h-tuples.
+
+    Every positive h with sum h_i L_i <= n_max is listed, each adding the
+    term of L to the cell of its area.
+    """
+    cells: dict[int, Fraction] = {}
     for length_sum in range(n_cyl, n_max + 1):
         for lengths in compositions(length_sum, n_cyl):
             value = counting_function(g - n_cyl, n_cyl, n_cyl, PerimeterPair(lengths, lengths))
-            total += prod(lengths) * sts._h_tuple_count(lengths, n_max) * value
-    return total / factorial(n_cyl)
+            heights = product(*(range(1, n_max // length + 1) for length in lengths))
+            for h in heights:
+                area = sum(map(mul, h, lengths))
+                if area <= n_max:
+                    cells[area] = cells.get(area, 0) + prod(lengths) * value
+    return {n: total / factorial(n_cyl) for n, total in cells.items() if total}
 
 
 class TestSurfaceBasics:
@@ -371,6 +380,26 @@ class TestCylinderFormula:
     def test_genus_four(self):
         assert verify_cylinder_formula(4, 8)
 
-    @pytest.mark.parametrize("n_cyl", [2, 3, 4])
+    @pytest.mark.parametrize("n_cyl", [1, 2, 3, 4])
     def test_partition_sum_matches_composition_sum(self, n_cyl):
-        assert predicted_cumulative_count(4, n_cyl, 10) == reference_cumulative_count(4, n_cyl, 10)
+        predicted = {nn: count for (n, nn), count in predicted_counts(4, 10).items() if n == n_cyl}
+        assert predicted == reference_counts(4, n_cyl, 10)
+
+    def test_class_under_the_wrong_square_count_fails(self, monkeypatch):
+        # One class moved from 7 to 8 squares keeps every cumulative total
+        # per n, which is all a check at n_max = 8 summed over N would see.
+        table = census(2, 8)
+        n_cyl = min(n for n, nn in table if nn == 7)
+        shifted = dict(table)
+        for key, step in (((n_cyl, 7), -1), ((n_cyl, 8), 1)):
+            count, weighted = shifted[key]
+            shifted[key] = (count + step, weighted + step)
+        monkeypatch.setattr(sts, "census", lambda g, n_max: shifted)
+
+        def totals(cells):
+            return {n: sum(c for (m, _), c in cells.items() if m == n) for n in (1, 2)}
+
+        assert totals({key: count for key, (count, _) in shifted.items()}) == totals(
+            predicted_counts(2, 8)
+        )
+        assert verify_cylinder_formula(2, 8) is False

@@ -1,9 +1,11 @@
+import io
 from fractions import Fraction
 
 import pytest
 
 from stratavol import volumes
-from stratavol.scalars import PiScaled
+from stratavol.cli import main
+from stratavol.scalars import PiScaled, zeta_even
 from stratavol.series import UPoly
 from stratavol.volumes import (
     a_gn,
@@ -48,8 +50,14 @@ class TestAgn:
 
     def test_nonpositive_value_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(volumes, "p_value", lambda parts: 0)
-        with pytest.raises(AssertionError):
-            a_gn.__wrapped__(2, 1)
+        with pytest.raises(AssertionError, match="must be positive"):
+            volumes._genus_walk.__wrapped__(2)
+
+    def test_one_walk_per_genus(self):
+        # a_gn, vol_n and the totals of `volumes --gmax 10` share each walk
+        volumes._genus_walk.cache_clear()
+        assert main(["volumes", "--gmax", "10"], out=io.StringIO()) == 0
+        assert volumes._genus_walk.cache_info().misses == 10
 
 
 class TestVolN:
@@ -62,10 +70,15 @@ class TestVolN:
         assert vol_n(2, 2) == PiScaled(Fraction(1, 216), 4)
 
     def test_zeta_and_bernoulli_forms_agree_through_g8(self):
-        # vol_n computes both forms and raises on any mismatch.
+        # the walk behind a_gn computes both forms and raises on any mismatch.
         for g in range(1, 9):
             for n in range(1, g + 1):
                 vol_n(g, n)
+
+    def test_form_mismatch_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(volumes, "zeta_even", lambda s: zeta_even(s).scale(2))
+        with pytest.raises(AssertionError, match=r"disagree at \(g,n\)=\(2,1\)"):
+            volumes._genus_walk.__wrapped__(2)
 
     def test_total_volumes(self):
         assert total_volume(1) == PiScaled(Fraction(1, 3), 2)
