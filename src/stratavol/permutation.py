@@ -54,6 +54,16 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
+def indexed_cycles(p: Perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The cycles of p, as `cycles` lists them, and the index of each point's cycle."""
+    cycs = tuple(cycles(p))
+    index = [0] * len(p)
+    for i, cyc in enumerate(cycs):
+        for x in cyc:
+            index[x] = i
+    return cycs, tuple(index)
+
+
 def cycle_count(p: Perm) -> int:
     seen = [False] * len(p)
     count = 0

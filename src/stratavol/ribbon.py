@@ -56,7 +56,7 @@ from .permutation import (
     compose,
     conjugate,
     cycle_count,
-    cycles,
+    indexed_cycles,
     inverse,
 )
 from .pnum import p_bw_value
@@ -199,9 +199,14 @@ def _edge_count(g: int, k: int, l: int) -> int:
     return n_edges
 
 
-@cache
 def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
     """All isomorphism classes of the (g, k, l) family with |Aut| counts."""
+    return list(_enumerate_graphs(g, k, l))
+
+
+@cache
+def _enumerate_graphs(g: int, k: int, l: int) -> tuple[tuple[RibbonGraph, int], ...]:
+    """The classes of enumerate_graphs, cached as a tuple that no caller can change."""
     n_edges = _edge_count(g, k, l)
     sigma = _sigma(n_edges)
     rotations = [
@@ -223,15 +228,7 @@ def enumerate_graphs(g: int, k: int, l: int) -> list[tuple[RibbonGraph, int]]:
             continue
         symmetries = [rot for rot, image in zip(rotations[1:], orbit[1:]) if image == rho_b]
         classes.extend(_labeled_classes(rho_b, rho_w, symmetries))
-    return classes
-
-
-def _cycle_index_map(perm_cycles: list[tuple[int, ...]], n: int) -> list[int]:
-    idx = [0] * n
-    for ci, cyc in enumerate(perm_cycles):
-        for e in cyc:
-            idx[e] = ci
-    return idx
+    return tuple(classes)
 
 
 def _labeled_classes(
@@ -243,10 +240,8 @@ def _labeled_classes(
     plus the number of symmetries that fix it.
     """
     n_edges = len(rho_b)
-    b_cycles = cycles(rho_b)
-    w_cycles = cycles(rho_w)
-    b_idx = _cycle_index_map(b_cycles, n_edges)
-    w_idx = _cycle_index_map(w_cycles, n_edges)
+    b_cycles, b_idx = indexed_cycles(rho_b)
+    w_cycles, w_idx = indexed_cycles(rho_w)
     # Induced action of each symmetry on cycle indices.
     actions = [
         ([b_idx[rot[cyc[0]]] for cyc in b_cycles], [w_idx[rot[cyc[0]]] for cyc in w_cycles])
@@ -297,7 +292,7 @@ def _multigraphs(g: int, k: int, l: int) -> dict:
     with its multiset has |Aut| = 1.
     """
     weights: dict[tuple[tuple[int, int], ...], int | Fraction] = {}
-    for graph, aut in enumerate_graphs(g, k, l):
+    for graph, aut in _enumerate_graphs(g, k, l):
         edges = tuple(sorted(zip(graph.black_labels, graph.white_labels)))
         weights[edges] = weights.get(edges, 0) + (1 if aut == 1 else Fraction(1, aut))
     return weights

@@ -69,12 +69,8 @@ class PiScaled:
             )
         return PiScaled(self.coeff + other.coeff, self.pi_exponent)
 
-    def __mul__(self, other: "PiScaled | Fraction | int") -> "PiScaled":
-        if isinstance(other, PiScaled):
-            return PiScaled(self.coeff * other.coeff, self.pi_exponent + other.pi_exponent)
-        return PiScaled(self.coeff * other, self.pi_exponent)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "PiScaled") -> "PiScaled":
+        return PiScaled(self.coeff * other.coeff, self.pi_exponent + other.pi_exponent)
 
     def scale(self, q: Fraction | int) -> "PiScaled":
         return PiScaled(self.coeff * q, self.pi_exponent)
@@ -84,11 +80,6 @@ class PiScaled:
 
     def to_json(self) -> dict[str, object]:
         return {"coeff": format_rational(self.coeff), "pi_exp": self.pi_exponent}
-
-    def __str__(self) -> str:
-        if self.pi_exponent == 0:
-            return format_rational(self.coeff)
-        return f"{format_rational(self.coeff)}*pi^{self.pi_exponent}"
 
 
 def zeta_even(s: int) -> PiScaled:

@@ -2,8 +2,11 @@
 
 The coefficient ring is Q[u], dense polynomials over exact rationals
 (:class:`UPoly`).  A :class:`TruncatedSeries` holds coefficients for
-t^0 .. t^order inclusive; arithmetic between series of different orders
+t^0 .. t^order inclusive; the product of series of different orders
 truncates to the shorter one, so precision never silently inflates.
+The two types keep only the arithmetic the package runs: a UPoly adds
+and takes a rational multiple, a series multiplies and shifts by t, and
+both compare by ==.
 
 Powers and exp run a coefficient recurrence, O(n^2) products of
 coefficients at order n; the inverse runs one power per coefficient:
@@ -22,14 +25,14 @@ coefficients at order n; the inverse runs one power per coefficient:
 Composition keeps its Horner evaluation; the tests use it as the
 independent check q(r(t)) = t of the inverse.
 
-Every product of coefficients, in those recurrences, in series and
-UPoly multiplication and in composition, runs through one kernel,
-``_dot``.  It works on integers inside: each UPoly keeps, next to its
-public tuple of Fractions, its numerators over the lcm of their
-denominators, and ``_dot`` sums into ``int`` accumulators over one
-common denominator.  Fractions appear at the boundary only, once per
-output coefficient, and the recurrences' division by k rides along as
-that denominator's last factor.
+Every product of coefficients, in those recurrences, in series
+multiplication and in composition, runs through one kernel, ``_dot``.
+It works on integers inside: each UPoly keeps, next to its public tuple
+of Fractions, its numerators over the lcm of their denominators, and
+``_dot`` sums into ``int`` accumulators over one common denominator.
+Fractions appear at the boundary only, once per output coefficient, and
+the recurrences' division by k rides along as that denominator's last
+factor.
 """
 
 from __future__ import annotations
@@ -98,31 +101,13 @@ class UPoly:
             tuple(self.coefficient(j) + other.coefficient(j) for j in range(n))
         )
 
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            tuple(self.coefficient(j) - other.coefficient(j) for j in range(n))
-        )
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, UPoly):
-            return _dot((((1,), self, other),))
-        return UPoly(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
+    def __mul__(self, q: Fraction | int) -> "UPoly":
+        return UPoly(tuple(c * q for c in self.coeffs))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+        if not isinstance(other, UPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -158,10 +143,6 @@ class TruncatedSeries:
         self.coeffs = tuple(c if isinstance(c, UPoly) else UPoly.const(c) for c in cs)
 
     @staticmethod
-    def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries(order, [UPoly.zero()] * (order + 1))
-
-    @staticmethod
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries(order, [UPoly.const(1)] + [UPoly.zero()] * order)
 
@@ -188,32 +169,13 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(order, self.coeffs[: order + 1])
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
         return TruncatedSeries(
-            n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
+            n,
+            [_dot(((1,), a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)],
         )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)]
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            return TruncatedSeries(
-                n,
-                [_dot(((1,), a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)],
-            )
-        return TruncatedSeries(self.order, [c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def shift_up(self) -> "TruncatedSeries":
         """Multiply by t (order preserved, top coefficient dropped)."""
@@ -246,9 +208,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
         terms = []

@@ -85,6 +85,7 @@ from .permutation import (
     cycles,
     from_cycle_type,
     from_cycles,
+    indexed_cycles,
     inverse,
     is_transitive,
     multiplicity_factorial,
@@ -162,15 +163,8 @@ def zero_profile(surface: SquareTiledSurface) -> list[int]:
     return profile if profile else [0]
 
 
-@cache
-def _rows(sh: Perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The rows (the cycles of sigma_h) and the index of each square's row."""
-    row_list = tuple(cycles(sh))
-    row_of = [0] * len(sh)
-    for idx, row in enumerate(row_list):
-        for x in row:
-            row_of[x] = idx
-    return row_list, tuple(row_of)
+# The rows (the cycles of sigma_h) and the index of each square's row.
+_rows = cache(indexed_cycles)
 
 
 def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition:
@@ -278,7 +272,6 @@ def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
     return surface
 
 
-@cache
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
     """Conjugacy classes of admissible pairs with exactly n_squares squares.
 
@@ -316,18 +309,24 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     Every representative's vertex permutation is checked to have the
     cycle type of the stratum (AssertionError if a check fails).
     """
+    return list(_enumerate_sts(g, n_squares))
+
+
+@cache
+def _enumerate_sts(g: int, n_squares: int) -> tuple[tuple[SquareTiledSurface, int], ...]:
+    """The classes of enumerate_sts, cached as a tuple that no caller can change."""
     if g < 1:
         raise ValueError("g must be >= 1")
     if n_squares < 1 or n_squares > MAX_SQUARES:
         raise ValueError(f"need 1 <= N <= {MAX_SQUARES}")
     if n_squares < 2 * g - 1:
-        return []
+        return ()
     if g == 1:
         out = [(_in_stratum(surface, 1), n_squares) for surface in _torus_classes(n_squares)]
     else:
         out = _coset_classes(g, n_squares)
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
-    return out
+    return tuple(out)
 
 
 def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
@@ -398,7 +397,7 @@ def census(g: int, n_max: int) -> dict[tuple[int, int], tuple[int, Fraction]]:
     """
     cells: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)  # classes by |Aut|
     for n_squares in range(1, n_max + 1):
-        for surface, aut in enumerate_sts(g, n_squares):
+        for surface, aut in _enumerate_sts(g, n_squares):
             n_cyl = cylinder_decomposition(surface).n_cylinders
             if not 1 <= n_cyl <= g:
                 raise AssertionError(f"cylinder count {n_cyl} outside 1..{g}")

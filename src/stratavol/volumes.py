@@ -137,7 +137,7 @@ def c_series_inverse_route(order: int) -> TruncatedSeries:
     )
     q = series_exp(exponent).shift_up()  # t * exp(..)
     q_inv = lagrange_invert(q)
-    return series_inverse(q_inv.shift_down()).truncate(order)
+    return series_inverse(q_inv.shift_down())
 
 
 def verify_bivariate_relation(g_max: int) -> bool:

@@ -274,25 +274,25 @@ class TestCount:
 
     def test_infeasible_ribbon_point_skips_work_guard(self):
         # an unbalanced 8-edge point gives 0 before its 176,400 classes are listed
-        before = ribbon.enumerate_graphs.cache_info()
+        before = ribbon._enumerate_graphs.cache_info()
         code, text = run_cli(
             ["count", "ribbon", "--genus", "0", "--black-perimeters", "9,9,9,9",
              "--white-perimeters", "9,9,9,9,9"]
         )
         assert code == 0 and text == "0\n"
-        assert ribbon.enumerate_graphs.cache_info() == before
+        assert ribbon._enumerate_graphs.cache_info() == before
 
     def test_genus_zero_work_guard_lists_no_classes(self):
         # the balanced 8-edge point: the guard takes its work from the
         # 32,000 trees of K_{4,5}, not from the 176,400 classes
-        before = ribbon.enumerate_graphs.cache_info()
+        before = ribbon._enumerate_graphs.cache_info()
         for kind in (["ribbon", "--genus", "0"], ["trees"]):
             code, text = run_cli(
                 ["count", *kind, "--black-perimeters", "10,10,10,15",
                  "--white-perimeters", "9,9,9,9,9"]
             )
             assert code == 0 and text == "5040\n"
-        assert ribbon.enumerate_graphs.cache_info() == before
+        assert ribbon._enumerate_graphs.cache_info() == before
 
     @pytest.mark.parametrize("black, white", [("40", "41"), ("5,-5", "0")])
     def test_infeasible_ribbon_point_not_refused(self, black, white):

@@ -2,7 +2,12 @@
 
 import ast
 import importlib
+import io
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,13 +127,6 @@ PAPER_RESULTS = {
     "asymptotic_prediction",
 }
 
-# Public class members that no code path reads, each with why it stays.
-MEMBERS_TESTS_READ = {
-    "evaluate": "a paper result: the top-degree terms read by criteria 9 and 12",
-    "compose": "the tests' independent check of lagrange_invert",
-}
-
-
 def _named(tree, skip=()):
     """Every name a tree reads, by name or by attribute, outside the nodes in skip."""
     skipped = {id(node) for root in skip for node in ast.walk(root)}
@@ -159,16 +157,9 @@ def test_no_public_code_only_tests_read():
     # A public function or class that no module of the package names (its
     # own definition, `__all__` and the package's re-exports aside), that
     # perfbench does not read and that is not an exported paper result is
-    # read by the tests alone.  So is a public method or property of a
-    # class that no module of the package and no perfbench file reads as
-    # an attribute, unless MEMBERS_TESTS_READ keeps it.
+    # read by the tests alone.  Class members are checked by the traced run
+    # below.
     trees = {name: ast.parse((SOURCE / f"{name}.py").read_text()) for name in MODULES}
-    attributes = {
-        node.attr
-        for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py"))]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
     outside = _perfbench_names() | PAPER_RESULTS
     unread = []
     for name, tree in trees.items():
@@ -186,14 +177,97 @@ def test_no_public_code_only_tests_read():
                 and definition.name not in _named(tree, [definition, *all_lists])
             ):
                 unread.append(f"{name}.{definition.name}")
-        unread += [
-            f"{name}.{definition.name}.{member.name}"
-            for definition in tree.body
-            if isinstance(definition, ast.ClassDef)
-            for member in definition.body
-            if isinstance(member, ast.FunctionDef)
-            and not member.name.startswith("_")
-            and member.name not in attributes
-            and member.name not in MEMBERS_TESTS_READ
-        ]
     assert unread == []
+
+
+# Class members the traced run never enters, each with why it stays.
+MEMBERS_UNTRACED = {
+    "UPoly.__str__": "pytest prints it, through TruncatedSeries.__repr__, when an assert fails",
+    "UPoly.__repr__": "pytest prints it when an assert on a UPoly fails",
+    "TruncatedSeries.__repr__": "pytest prints it when an assert on a series fails",
+    "TruncatedSeries.__eq__": "the tests compare series with it",
+}
+
+
+def _traced_run() -> list[tuple[str, int]]:
+    """(file name, first line) of every code object of the package entered.
+
+    Runs every CLI leaf at small sizes, c_series_inverse_route(8), one call
+    of each exported paper result, and the two members only the tests read:
+    `compose`, the tests' check of `lagrange_invert`, and the paper result
+    `HomogeneousVolumePolynomial.evaluate`.
+    """
+    from stratavol import cli, pnum, ribbon, series, sts, volumes
+
+    leaves = [
+        "volumes --gmax 2 --float --format json",
+        "pnumbers --weight 4",
+        "series --order 4",
+        "count ribbon --genus 1 --black-perimeters 2 --white-perimeters 2",
+        "count trees --black-perimeters 1,1 --white-perimeters 1,1",
+        "count sts --genus 2 --max-squares 4",
+        *(f"verify {suite}" for suite in cli.VERIFY_CHECKS if suite != "oracle-sts"),
+        "verify oracle-sts --max-squares 3",
+        "verify all --max-squares 3",
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    paper_results = {
+        "pgvn_polynomial": lambda: pnum.pgvn_polynomial(2, 2),
+        "fit_ray_polynomial": lambda: ribbon.fit_ray_polynomial(
+            1, 1, 1, ribbon.PerimeterPair((1,), (1,)), 4
+        ),
+        "zero_profile": lambda: sts.zero_profile(sts.enumerate_sts(2, 3)[0][0]),
+        "total_volume": lambda: volumes.total_volume(2),
+        "cylinder_partial_sum": lambda: volumes.cylinder_partial_sum((1, 2), 4),
+        "asymptotic_prediction": lambda: volumes.asymptotic_prediction((1, 2), 4),
+    }
+    assert set(paper_results) == PAPER_RESULTS
+    q = series.TruncatedSeries.from_dict(6, {1: 1, 2: series.UPoly.u(), 5: 3})
+    sys.setprofile(profile)
+    try:
+        for leaf in leaves:
+            assert cli.main(leaf.split(), out=io.StringIO()) == 0, leaf
+        volumes.c_series_inverse_route(8)
+        results = {name: call() for name, call in paper_results.items()}
+        results["pgvn_polynomial"].evaluate((2, 1))
+        q.compose(series.lagrange_invert(q))
+    finally:
+        sys.setprofile(None)
+    return sorted(
+        (Path(name).name, line) for name, line in entered if Path(name).parent == SOURCE
+    )
+
+
+def test_class_members_run():
+    # Every def in a class body of the package is entered by the traced run
+    # of the program, unless MEMBERS_UNTRACED keeps it.  The run is made in
+    # a fresh process, so that no cache warmed by another test hides a call,
+    # and a call is matched by its code object's (file, first line), which
+    # for a decorated def is the line of its first decorator.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SOURCE.parent), *sys.path])}
+    result = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    entered = {tuple(pair) for pair in json.loads(result.stdout)}
+    unentered = [
+        f"{definition.name}.{member.name}"
+        for name in MODULES
+        for definition in ast.parse((SOURCE / f"{name}.py").read_text()).body
+        if isinstance(definition, ast.ClassDef)
+        for member in definition.body
+        if isinstance(member, ast.FunctionDef)
+        and (f"{name}.py", min([member.lineno] + [d.lineno for d in member.decorator_list]))
+        not in entered
+    ]
+    assert sorted(set(unentered) - set(MEMBERS_UNTRACED)) == []
+    assert sorted(set(MEMBERS_UNTRACED) - set(unentered)) == []
+
+
+if __name__ == "__main__":
+    print(json.dumps(_traced_run()))

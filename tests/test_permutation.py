@@ -20,7 +20,7 @@ from stratavol.permutation import (
     is_transitive,
     partitions,
 )
-from stratavol.sts import enumerate_sts
+from stratavol.sts import _enumerate_sts
 
 
 def test_compose_applies_right_first():
@@ -99,7 +99,7 @@ def test_centralizer_closure_checks_its_order(monkeypatch, capsys):
     order = permutation.centralizer_order
     monkeypatch.setattr(permutation, "centralizer_order", lambda ctype: order(ctype) + 1)
     permutation.centralizer_elements.cache_clear()
-    enumerate_sts.cache_clear()
+    _enumerate_sts.cache_clear()
     try:
         for n in range(2, 7):
             for ctype in partitions(n):
@@ -112,7 +112,7 @@ def test_centralizer_closure_checks_its_order(monkeypatch, capsys):
         assert err.startswith("internal error: ") and err.count("\n") == 1
     finally:
         permutation.centralizer_elements.cache_clear()
-        enumerate_sts.cache_clear()
+        _enumerate_sts.cache_clear()
 
 
 def test_conjugator_maps_p_to_q():

@@ -24,6 +24,7 @@ from stratavol.ribbon import (
 from stratavol.ribbon import (
     _all_forms,
     _count_metrics,
+    _enumerate_graphs,
     _multigraphs,
     _sign_pattern,
     _trees,
@@ -406,6 +407,14 @@ class TestEnumeration:
         classes = enumerate_graphs(1, 1, 1)
         assert len(classes) == 1 and classes[0][1] == 3
 
+    def test_returned_list_is_the_callers_own(self):
+        # clearing the list a caller got back leaves the family whole; the
+        # folded family is dropped so that counting_function lists it again
+        enumerate_graphs(1, 1, 1).clear()
+        _multigraphs.cache_clear()
+        assert counting_function(1, 1, 1, PerimeterPair((4,), (4,))) == 1
+        assert len(enumerate_graphs(1, 1, 1)) == 1
+
     def test_trees_have_trivial_automorphisms(self):
         for k, l in [(1, 2), (2, 2), (3, 2), (3, 3)]:
             assert all(aut == 1 for _, aut in enumerate_graphs(0, k, l))
@@ -587,19 +596,19 @@ class TestCountingFunction:
         ],
     )
     def test_infeasible_point_skips_family(self, point):
-        caches = (enumerate_graphs, _multigraphs, _trees)
+        caches = (_enumerate_graphs, _multigraphs, _trees)
         before = [reader.cache_info() for reader in caches]
         assert counting_function(0, 4, 5, point) == 0
         assert [reader.cache_info() for reader in caches] == before
 
     def test_genus_zero_lists_no_classes(self):
         # every genus-0 reader sums over _trees, never over enumerate_graphs
-        before = enumerate_graphs.cache_info()
+        before = _enumerate_graphs.cache_info()
         point = wall_sample_point(Wall.full_space(4, 5), seed=1)
         assert counting_function(0, 4, 5, point) == count_positive_trees(4, 5, point) == 5040
         assert p0_oracle((2, 2), (1, 3), seed=1) == p_value((3, 5))
         assert verify_wall_constancy()
-        assert enumerate_graphs.cache_info() == before
+        assert _enumerate_graphs.cache_info() == before
 
     @pytest.mark.parametrize("g", [-1, 9])
     def test_family_checked_at_every_point(self, g):

@@ -7,6 +7,7 @@ import pytest
 from stratavol.series import (
     TruncatedSeries,
     UPoly,
+    _dot,
     _power,
     lagrange_invert,
     series_exp,
@@ -32,8 +33,9 @@ def random_series(rng, order, constant, u_free=True):
 # references only: the power sum for exp, exp(u log f) for f^u with log by
 # its power sum, the convolution loop for 1/f and back-substitution for
 # the compositional inverse.  The log round trips run through reference_log.
-# Every product in them is the Fraction double loop of fraction_mul, so no
-# reference runs through the integer kernel stratavol.series._dot.
+# Every product in them is the Fraction double loop of fraction_mul and
+# every series sum the Fraction loop of series_add, so no reference runs
+# through the integer kernel stratavol.series._dot.
 
 
 def fraction_mul(a, b):
@@ -45,24 +47,33 @@ def fraction_mul(a, b):
     return UPoly(out)
 
 
+def series_add(f, g, c=1):
+    """f + c*g, summed coefficient by coefficient on Fractions, at the lower order."""
+    sums = []
+    for a, b in zip(f.coeffs, g.coeffs):
+        width = max(len(a.coeffs), len(b.coeffs))
+        sums.append(UPoly(a.coefficient(j) + c * b.coefficient(j) for j in range(width)))
+    return TruncatedSeries(len(sums) - 1, sums)
+
+
 def reference_exp(f):
     n = f.order
     result = TruncatedSeries.one(n)
     power = TruncatedSeries.one(n)
     for m in range(1, n + 1):
         power = reference_mul(power, f)
-        result = result + power * Fraction(1, factorial(m))
+        result = series_add(result, power, Fraction(1, factorial(m)))
     return result
 
 
 def reference_log(f):
     n = f.order
-    g = f - TruncatedSeries.one(n)
-    result = TruncatedSeries.zero(n)
+    g = series_add(f, TruncatedSeries.one(n), -1)
+    result = TruncatedSeries.from_dict(n, {})
     power = TruncatedSeries.one(n)
     for m in range(1, n + 1):
         power = reference_mul(power, g)
-        result = result + power * Fraction((-1) ** (m + 1), m)
+        result = series_add(result, power, Fraction((-1) ** (m + 1), m))
     return result
 
 
@@ -80,7 +91,7 @@ def reference_inverse(f):
         acc = UPoly.zero()
         for k in range(1, m + 1):
             acc = acc + fraction_mul(f.coeffs[k], inv[m - k])
-        inv.append(-acc)
+        inv.append(acc * -1)
     return TruncatedSeries(n, inv)
 
 
@@ -107,7 +118,7 @@ def reference_lagrange_invert(q):
         defect = UPoly.zero()
         for j in range(1, k + 1):
             defect = defect + fraction_mul(q.coeffs[j], powers[j][k])
-        rs[k] = -defect
+        rs[k] = defect * -1
     return TruncatedSeries(n, rs)
 
 
@@ -162,15 +173,13 @@ class TestUPoly:
 
     def test_arithmetic(self):
         u = UPoly.u()
-        assert (u + u) * u == UPoly((0, 0, 2))
-        assert u - u == UPoly.zero()
+        assert u + u == UPoly((0, 2))
 
 
 class TestSeriesBasics:
     def test_mixed_order_truncates_to_min(self):
         a = TruncatedSeries.one(5)
         b = TruncatedSeries.from_dict(3, {1: 1})
-        assert (a + b).order == 3
         assert (a * b).order == 3
 
     def test_coefficient_past_order_raises(self):
@@ -180,14 +189,15 @@ class TestSeriesBasics:
 
 class TestExpLog:
     def test_exp_of_zero(self):
-        assert series_exp(TruncatedSeries.zero(4)) == TruncatedSeries.one(4)
+        assert series_exp(TruncatedSeries.from_dict(4, {})) == TruncatedSeries.one(4)
 
     def test_exp_of_t(self):
         e = series_exp(TruncatedSeries.from_dict(3, {1: 1}))
         assert [c.coefficient(0) for c in e.coeffs] == [1, 1, Fraction(1, 2), Fraction(1, 6)]
 
     def test_log_of_one_plus_t(self):
-        l = reference_log(TruncatedSeries.one(3) + TruncatedSeries.from_dict(3, {1: 1}))
+        one_plus_t = series_add(TruncatedSeries.one(3), TruncatedSeries.from_dict(3, {1: 1}))
+        l = reference_log(one_plus_t)
         assert [c.coefficient(0) for c in l.coeffs] == [0, 1, Fraction(-1, 2), Fraction(1, 3)]
 
     def test_constant_term_violations(self):
@@ -200,7 +210,7 @@ class TestExpLog:
         for _ in range(5):
             f = random_series(rng, 12, constant=0)
             assert reference_log(series_exp(f)) == f
-            assert series_exp(reference_log(one + f)) == one + f
+            assert series_exp(reference_log(series_add(one, f))) == series_add(one, f)
 
 
 class TestPowU:
@@ -284,7 +294,7 @@ class TestAgainstReferences:
         rng = random.Random(4711)
         for order in self.ORDERS:
             f = random_series(rng, order, constant=0, u_free=False)
-            one_plus_f = TruncatedSeries.one(order) + f
+            one_plus_f = series_add(TruncatedSeries.one(order), f)
             assert series_exp(f) == reference_exp(f)
             assert series_inverse(one_plus_f) == reference_inverse(one_plus_f)
 
@@ -343,14 +353,14 @@ class TestKernel:
         assert any(p.is_zero() for p in polys[3:])
         for a in polys:
             for b in polys[::7]:
-                assert a * b == fraction_mul(a, b), (a, b)
+                assert _dot((((1,), a, b),)) == fraction_mul(a, b), (a, b)
 
     @pytest.mark.parametrize("order", range(1, 31))
     def test_series_product(self, order):
         rng = random.Random(order)
         f = kernel_series(rng, order, rng.randint(-3, 3), 2)
         g = kernel_series(rng, order, 0, 1)
-        for x, y in [(f, g), (g, f), (f, f), (f, TruncatedSeries.zero(order))]:
+        for x, y in [(f, g), (g, f), (f, f), (f, TruncatedSeries.from_dict(order, {}))]:
             assert x * y == reference_mul(x, y)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 6, 11, 18, 30])

@@ -34,6 +34,7 @@ from stratavol.sts import (
     verify_cylinder_formula,
     zero_profile,
 )
+from stratavol.sts import _enumerate_sts
 
 # SHA-256 of repr(enumerate_sts(g, 8)): g = 2, 3 computed by the S_N scan,
 # g = 1 by the orbit closure over the transitive members of Z(sigma_h) that
@@ -179,6 +180,13 @@ class TestEnumeration:
     def test_below_minimum_area_empty(self):
         assert enumerate_sts(2, 2) == []
 
+    def test_returned_list_is_the_callers_own(self):
+        # clearing the list a caller got back leaves the census whole
+        before = census(2, 4)
+        enumerate_sts(2, 4).clear()
+        assert census(2, 4) == before
+        assert enumerate_sts(2, 4) != []
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             enumerate_sts(1, 9)
@@ -241,7 +249,7 @@ class TestEnumeration:
             return compose(conjugator(p, q), (1, 0) + tuple(range(2, len(p))))
 
         monkeypatch.setattr(sts, "conjugator", wrong_conjugator)
-        enumerate_sts.cache_clear()
+        _enumerate_sts.cache_clear()
         try:
             with pytest.raises(AssertionError, match="minimal stratum of genus 2"):
                 enumerate_sts(2, 5)
@@ -250,13 +258,13 @@ class TestEnumeration:
             assert out.getvalue() == ""
             assert capsys.readouterr().err.startswith("internal error: census class")
         finally:
-            enumerate_sts.cache_clear()
+            _enumerate_sts.cache_clear()
 
     def test_torus_stratum_check_exits_three(self, monkeypatch, capsys):
         # a reversed sigma_h is no longer the row rotation that the
         # sublattice's sigma_v commutes with
         monkeypatch.setattr(sts, "from_cycle_type", lambda ctype: from_cycle_type(ctype)[::-1])
-        enumerate_sts.cache_clear()
+        _enumerate_sts.cache_clear()
         try:
             with pytest.raises(AssertionError, match="minimal stratum of genus 1"):
                 enumerate_sts(1, 4)
@@ -267,18 +275,18 @@ class TestEnumeration:
             err = capsys.readouterr().err
             assert err.startswith("internal error: ") and err.count("\n") == 1
         finally:
-            enumerate_sts.cache_clear()
+            _enumerate_sts.cache_clear()
 
     def test_orbit_count_check(self, monkeypatch):
         # a scan that never finds a smaller conjugate keeps every transitive
         # coset member, so the classes overcount the Z(sigma_h)-orbits
         monkeypatch.setattr(sts, "conjugate", lambda y, p: p)
-        enumerate_sts.cache_clear()
+        _enumerate_sts.cache_clear()
         try:
             with pytest.raises(AssertionError, match="transitive coset members"):
                 enumerate_sts(2, 5)
         finally:
-            enumerate_sts.cache_clear()
+            _enumerate_sts.cache_clear()
 
 
 class TestSupports:
