@@ -80,7 +80,17 @@ def cycle_count(p: Perm) -> int:
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths sorted non-increasingly."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length = 0
+        while not seen[start]:
+            seen[start] = True
+            start = p[start]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def conjugator(p: Perm, q: Perm) -> Perm:
@@ -98,25 +108,6 @@ def conjugator(p: Perm, q: Perm) -> Perm:
         for a, b in zip(p_cyc, q_cyc):
             pi[a] = b
     return tuple(pi)
-
-
-def is_transitive(p: Perm, q: Perm) -> bool:
-    """Does the group generated by p and q act transitively on {0,..,n-1}?"""
-    n = len(p)
-    if n == 0:
-        return False
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    found = 1
-    while stack:
-        i = stack.pop()
-        for j in (p[i], q[i]):
-            if not seen[j]:
-                seen[j] = True
-                found += 1
-                stack.append(j)
-    return found == n
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

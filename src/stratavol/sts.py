@@ -26,10 +26,18 @@ kept iff it is the least of its Stab(c)-conjugates, as in orderly
 generation (Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26
 (1998)), and a kept class is represented by the least of its
 Z(sigma_h)-conjugates, which may lie in the coset of another c of the
-orbit.  Entry 0 of the conjugate of sigma_v by y is
-y(sigma_v(y^{-1}(0))), so only the y reaching the least entry 0 build
-whole conjugates.  At sigma_h = id no c fits, since c id = c is not of
-the identity's type, so the census never walks all of S_N.
+orbit.  At sigma_h = id no c fits, since c id = c is not of the
+identity's type, so the census never walks all of S_N.
+
+Transitivity is tested per row permutation.  Every z in Z(sigma_h) maps
+each row onto a row, by a row permutation rho_z, so pi_0 z sends row r
+into the rows that pi_0 sends row rho_z(r) into, and sigma_h moves each
+square around its row.  So whether <sigma_h, pi_0 z> is transitive
+depends on rho_z alone, not on the rotations in z: it is tested once per
+row permutation, on the graph of rows, and only the members whose row
+permutation passes are walked.  In that loop every permutation is a byte
+string: p q is q.translate(p + bytes(range(N, 256))), one C call, and
+y p y^{-1} is two.
 
 The candidates c are found by their supports.  z maps the support of c
 onto that of z c z^{-1}, so the cycles on one (2g-1)-subset per
@@ -70,24 +78,19 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations, repeat
 from math import lcm, prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .permutation import (
     Perm,
     centralizer_elements,
-    compose,
-    conjugate,
     conjugator,
-    cycle_count,
     cycle_type,
     cycles,
     from_cycle_type,
-    from_cycles,
     indexed_cycles,
     inverse,
-    is_transitive,
     multiplicity_factorial,
     partitions,
 )
@@ -134,7 +137,7 @@ class SquareTiledSurface:
         return tuple(
             map(self.sigma_v.__getitem__,
                 map(self.sigma_h.__getitem__,
-                    map(inv_v.__getitem__, inverse(self.sigma_h))))
+                    map(inv_v.__getitem__, _inverse(self.sigma_h))))
         )
 
 
@@ -165,6 +168,9 @@ def zero_profile(surface: SquareTiledSurface) -> list[int]:
 
 # The rows (the cycles of sigma_h) and the index of each square's row.
 _rows = cache(indexed_cycles)
+# The census's sigma_h are one permutation per cycle type, so this holds
+# one inverse per type.
+_inverse = cache(inverse)
 
 
 def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition:
@@ -216,6 +222,20 @@ def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition
 # Enumeration up to simultaneous conjugation
 # ---------------------------------------------------------------------------
 
+# Byte i is i: p + _IDENTITY[len(p):] is the bytes.translate table of a
+# permutation p given as bytes, and q.translate of it is p q.
+_IDENTITY = bytes(range(256))
+
+
+@cache
+def _least_rotations(length: int) -> tuple[int, ...]:
+    """Entry b: the least rotation of the length-bit pattern b."""
+    mask = (1 << length) - 1
+    return tuple(
+        min((b >> r | b << length - r) & mask for r in range(length)) for b in range(1 << length)
+    )
+
+
 def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
     """One (2g-1)-subset of the squares per Z(sigma_h)-orbit, meeting <= g rows.
 
@@ -227,21 +247,17 @@ def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
     docstring), so it is skipped.
     """
     row_list, row_of = _rows(sh)
+    bit_of = [1 << row_list[row_of[x]].index(x) for x in range(len(sh))]
+    least_of = [_least_rotations(len(row)) for row in row_list]
     keys = set()
     for support in combinations(range(len(sh)), 2 * g - 1):
         bits: dict[int, int] = {}
         for x in support:
             idx = row_of[x]
-            bits[idx] = bits.get(idx, 0) | 1 << row_list[idx].index(x)
+            bits[idx] = bits.get(idx, 0) | bit_of[x]
         if len(bits) > g:
             continue
-        patterns = []
-        for idx, b in bits.items():
-            length = len(row_list[idx])
-            mask = (1 << length) - 1
-            least = min((b >> r | b << length - r) & mask for r in range(length))
-            patterns.append((length, least))
-        key = tuple(sorted(patterns))
+        key = tuple(sorted((len(row_list[idx]), least_of[idx][b]) for idx, b in bits.items()))
         if key not in keys:
             keys.add(key)
             yield support
@@ -265,9 +281,13 @@ def _torus_classes(n_squares: int) -> Iterator[SquareTiledSurface]:
 
 
 def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
-    """The surface, once its vertex permutation has the minimal stratum's type."""
-    n = surface.num_squares
-    if cycle_type(surface.vertex_permutation()) != (2 * g - 1,) + (1,) * (n - 2 * g + 1):
+    """The surface, once its moved corners form one (2g-1)-cycle (none at g = 1)."""
+    c = surface.vertex_permutation()
+    moved = [x for x, y in enumerate(c) if x != y]
+    cycle = moved[:1]  # the cycle through the first moved corner
+    while cycle and c[cycle[-1]] != cycle[0]:
+        cycle.append(c[cycle[-1]])
+    if len(cycle) != len(moved) or len(moved) != (2 * g - 1 if g > 1 else 0):
         raise AssertionError(f"census class outside the minimal stratum of genus {g}")
     return surface
 
@@ -301,10 +321,11 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     member sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
     permutation; |Aut| is the number of y in Stab(c) that fix it, since an
     automorphism fixes c = [sigma_v, sigma_h], and the representative is
-    the least Z(sigma_h)-conjugate of the kept sigma_v, built only for the
-    y whose conjugate has the least entry 0.  Every |Aut| must
-    be 1, and the kept classes of each orbit of c times |Stab(c)| must be
-    the number of transitive coset members of c.
+    the least Z(sigma_h)-conjugate of the kept sigma_v.  Transitivity is
+    decided once per row permutation of Z(sigma_h), on the rows (module
+    docstring).  Every |Aut| must be 1, and the kept classes of each orbit
+    of c times |Stab(c)| must be the number of transitive coset members
+    of c.
 
     Every representative's vertex permutation is checked to have the
     cycle type of the stratum (AssertionError if a check fails).
@@ -329,63 +350,112 @@ def _enumerate_sts(g: int, n_squares: int) -> tuple[tuple[SquareTiledSurface, in
     return tuple(out)
 
 
+def _conjugates(p: bytes, tables: Sequence[bytes], inverses: Sequence[bytes]) -> Iterator[bytes]:
+    """y p y^-1 for each y, given by its translate table and its inverse, in order.
+
+    The one place the census conjugates: y^-1 translated by the table of p
+    is p y^-1, and that translated by the table of y is y p y^-1.
+    """
+    table = p + _IDENTITY[len(p):]
+    return map(bytes.translate, map(bytes.translate, inverses, repeat(table)), tables)
+
+
+def _row_reach(pi: Sequence[int], sh: Perm) -> list[int]:
+    """Entry r: the bitmask of the rows of sigma_h that pi maps squares of row r into."""
+    row_list, row_of = _rows(sh)
+    return [sum({1 << row_of[pi[x]] for x in row}) for row in row_list]
+
+
+def _connected(reach: list[int], rho: Sequence[int]) -> bool:
+    """Is <sigma_h, pi z> transitive, for reach = _row_reach(pi, sigma_h)?
+
+    z in Z(sigma_h) maps row r onto row rho[r], so pi z sends row r into
+    the rows of reach[rho[r]], and sigma_h moves each square around its
+    row.  The orbit of a finite permutation group is the set its
+    generators reach forward from one point, so the pair is transitive iff
+    every row is reached from row 0 along these arrows.
+    """
+    reached, todo = 1, [0]
+    while todo:
+        new = reach[rho[todo.pop()]] & ~reached
+        reached |= new
+        while new:
+            low = new & -new
+            todo.append(low.bit_length() - 1)
+            new ^= low
+    return reached == (1 << len(reach)) - 1
+
+
 def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
-    """The classes at g >= 2, one coset per Z(sigma_h)-orbit of c, unsorted."""
+    """The classes at g >= 2, one coset per Z(sigma_h)-orbit of c, unsorted.
+
+    Inside the loop c, pi_0, sigma_v and Z(sigma_h) are bytes: p q is q
+    translated by the table p + _IDENTITY[N:], and every conjugate goes
+    through `_conjugates`.
+    """
     out = []
+    identity, table_tail = _IDENTITY[:n_squares], _IDENTITY[n_squares:]
     for ctype in partitions(n_squares):
         sh = from_cycle_type(ctype)
-        centralizer: tuple[Perm, ...] = ()
+        row_list, row_of = _rows(sh)
+        row_firsts, row_table = bytes(row[0] for row in row_list), bytes(row_of) + table_tail
+        sh_bytes = bytes(sh)
+        tables: tuple[bytes, ...] = ()
         for first, *rest in _supports(sh, g):
             # Kept supports lie in distinct Z(sigma_h)-orbits, so only the
             # conjugates of this support's cycles can come up again.
-            seen: set[Perm] = set()
+            seen: set[bytes] = set()
             for tail in permutations(rest):
-                c = from_cycles([(first, *tail)], n_squares)
+                cycle = bytes((first, *tail))
+                c_table = bytes.maketrans(cycle, cycle[1:] + cycle[:1])
+                c = c_table[:n_squares]
                 if c in seen:
                     continue
-                c_sh = compose(c, sh)
-                if cycle_count(c_sh) != len(ctype) or cycle_type(c_sh) != ctype:
+                c_sh = sh_bytes.translate(c_table)
+                if cycle_type(c_sh) != ctype:
                     continue
-                if not centralizer:  # listed once some c fits, which none does at id
-                    centralizer = centralizer_elements(sh)
-                    # entry 0 of conjugate(y, sv) is y[sv[y^-1(0)]]
-                    preimages_of_0 = [y.index(0) for y in centralizer]
-                stabilizer = []
-                for y in centralizer:
-                    image = conjugate(y, c)
-                    seen.add(image)
-                    if image == c:
-                        stabilizer.append(y)
-                pi_0 = conjugator(sh, c_sh)
+                if not tables:  # built once some c fits, which none does at id
+                    centralizer = [bytes(z) for z in centralizer_elements(sh)]
+                    tables = tuple(z + table_tail for z in centralizer)
+                    # the table with entry z[i] = i is that of z^-1
+                    inverses = tuple(
+                        bytes.maketrans(z, identity)[:n_squares] for z in centralizer
+                    )
+                    # z maps row r onto row rho[r] of its length, so the rows
+                    # that pi_0 z sends row r into depend on rho alone; rho
+                    # is the row of z(first square of row r), for each r
+                    by_rows: dict[bytes, list[bytes]] = {}
+                    for z, table in zip(centralizer, tables):
+                        rho = row_firsts.translate(table).translate(row_table)
+                        by_rows.setdefault(rho, []).append(z)
+                images = list(_conjugates(c, tables, inverses))
+                seen.update(images)
+                stab_tables = list(compress(tables, map(c.__eq__, images)))
+                stab_inverses = list(compress(inverses, map(c.__eq__, images)))
+                pi_0 = bytes(conjugator(sh, c_sh)) + table_tail
+                reach = _row_reach(pi_0, sh)
                 members, first_kept = 0, len(out)
-                for z in centralizer:
-                    sv = compose(pi_0, z)
-                    if not is_transitive(sh, sv):
+                for rho, zs in by_rows.items():
+                    if not _connected(reach, rho):
                         continue
-                    members += 1
-                    aut = 0
-                    for y in stabilizer:
-                        image = conjugate(y, sv)
-                        if image < sv:
-                            break
-                        aut += image == sv
-                    else:
-                        heads = [y[sv[i]] for y, i in zip(centralizer, preimages_of_0)]
-                        least = min(heads)
-                        sv = min(
-                            conjugate(y, sv)
-                            for y, head in zip(centralizer, heads)
-                            if head == least
-                        )
-                        out.append((_in_stratum(SquareTiledSurface(sh, sv), g), aut))
+                    for sv in map(bytes.translate, zs, repeat(pi_0)):
+                        members += 1
+                        aut = 0
+                        for image in _conjugates(sv, stab_tables, stab_inverses):
+                            if image < sv:
+                                break
+                            aut += image == sv
+                        else:
+                            least = tuple(min(_conjugates(sv, tables, inverses)))
+                            out.append((_in_stratum(SquareTiledSurface(sh, least), g), aut))
                 # A translation automorphism fixes the one zero, and no cyclic
                 # cover is branched over one point, so every class has |Aut| = 1
                 # and meets the coset of c in |Stab(c)| members.
                 kept = out[first_kept:]
-                if any(aut != 1 for _, aut in kept) or len(kept) * len(stabilizer) != members:
+                if any(aut != 1 for _, aut in kept) or len(kept) * len(stab_tables) != members:
                     raise AssertionError(
-                        f"census of sigma_h {sh}, c {c}: {len(kept)} classes with "
-                        f"|Stab(c)| = {len(stabilizer)} against {members} transitive coset members"
+                        f"census of sigma_h {sh}, c {tuple(c)}: {len(kept)} classes with "
+                        f"|Stab(c)| = {len(stab_tables)} against {members} transitive coset members"
                     )
     return out
 

@@ -17,10 +17,24 @@ from stratavol.permutation import (
     from_cycle_type,
     from_cycles,
     inverse,
-    is_transitive,
     partitions,
 )
 from stratavol.sts import _enumerate_sts
+
+
+def is_transitive(p, q) -> bool:
+    """Does the group generated by p and q act transitively on {0,..,n-1}?
+
+    The square-level reference; the census decides transitivity on rows.
+    """
+    orbit, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in (p[i], q[i]):
+            if j not in orbit:
+                orbit.add(j)
+                todo.append(j)
+    return len(orbit) == len(p)
 
 
 def test_compose_applies_right_first():

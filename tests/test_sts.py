@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -20,7 +21,6 @@ from stratavol.permutation import (
     from_cycle_type,
     from_cycles,
     inverse,
-    is_transitive,
     partitions,
 )
 from stratavol.pnum import compositions
@@ -57,6 +57,18 @@ CENSUS_TABLE_DIGESTS_AT_8 = {
     3: "a9e1691699a95593e28bb2e9c7957c873ddaacdd1bc1566887016de1ec936cb4",
     4: "5b7306a2b56b3bf7efa3db447270359e28b40cbf8fff5afcea651594a4bf3423",
 }
+
+
+def is_transitive(p, q) -> bool:
+    """Does the group generated by p and q act transitively on {0,..,n-1}?"""
+    orbit, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in (p[i], q[i]):
+            if j not in orbit:
+                orbit.add(j)
+                todo.append(j)
+    return len(orbit) == len(p)
 
 
 def divisor_sum(n: int) -> int:
@@ -280,7 +292,7 @@ class TestEnumeration:
     def test_orbit_count_check(self, monkeypatch):
         # a scan that never finds a smaller conjugate keeps every transitive
         # coset member, so the classes overcount the Z(sigma_h)-orbits
-        monkeypatch.setattr(sts, "conjugate", lambda y, p: p)
+        monkeypatch.setattr(sts, "_conjugates", lambda p, tables, inverses: [p] * len(tables))
         _enumerate_sts.cache_clear()
         try:
             with pytest.raises(AssertionError, match="transitive coset members"):
@@ -326,6 +338,42 @@ class TestSupports:
                                 k = rows_met(sh, (first, *tail))
                                 most[g] = max(most.get(g, 0), k)
         assert most == {2: 2, 3: 3, 4: 4}
+
+
+class TestKernel:
+    def test_row_connectivity_is_transitivity(self):
+        # <sigma_h, pi z> is transitive iff the row graph of pi and the row
+        # permutation of z is, for every z in Z(sigma_h): pi runs over the
+        # pi_0 of every vertex cycle c that fits sigma_h at g = 2, 3 and over
+        # a few random permutations
+        rng = random.Random(0)
+        for n_squares in range(1, 8):
+            for ctype in partitions(n_squares):
+                sh = from_cycle_type(ctype)
+                pis = {tuple(rng.sample(range(n_squares), n_squares)) for _ in range(3)}
+                for m in (3, 5):
+                    for first, *rest in combinations(range(n_squares), m):
+                        for tail in permutations(rest):
+                            c_sh = compose(from_cycles([(first, *tail)], n_squares), sh)
+                            if cycle_type(c_sh) == ctype:
+                                pis.add(conjugator(sh, c_sh))
+                rows = cycles(sh)
+                row_of = {x: r for r, row in enumerate(rows) for x in row}
+                for pi in pis:
+                    reach = sts._row_reach(pi, sh)
+                    for z in centralizer_elements(sh):
+                        rho = [row_of[z[row[0]]] for row in rows]
+                        assert sts._connected(reach, rho) == is_transitive(sh, compose(pi, z))
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_rotation_table(self, length):
+        # against the least of the length rotations of each bit list
+        table = sts._least_rotations(length)
+        assert len(table) == 1 << length
+        for pattern, least in enumerate(table):
+            bits = [pattern >> i & 1 for i in range(length)]
+            rotations = (bits[r:] + bits[:r] for r in range(length))
+            assert least == min(sum(bit << i for i, bit in enumerate(rot)) for rot in rotations)
 
 
 class TestCensus:
