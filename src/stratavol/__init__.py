@@ -20,7 +20,7 @@ from .ribbon import (
 )
 from .scalars import PiScaled, bernoulli, zeta_even
 from .series import TruncatedSeries, UPoly, lagrange_invert, series_exp, series_pow_u, sine_quotient
-from .sts import SquareTiledSurface, census, cylinder_decomposition, enumerate_sts, verify_cylinder_formula, zero_profile
+from .sts import SquareTiledSurface, census, enumerate_sts, verify_cylinder_formula, zero_profile
 from .volumes import (
     a_gn,
     asymptotic_prediction,

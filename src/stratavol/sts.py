@@ -5,12 +5,30 @@ A surface with N unit squares is a pair of permutations of {0,..,N-1}:
 upper neighbor.  The pair must act transitively (connected surface).
 Surfaces are counted up to simultaneous conjugation (square relabeling).
 
-Enumeration at g = 1: the surfaces are the tori Z^2 / Lambda over the
-sigma(N) sublattices Lambda of index N, listed in closed form from the
-basis (m, 0), (t, d) with m d = N and 0 <= t < m.  Each is the least of
-its Z(sigma_h)-conjugates as listed, and each has |Aut| = N.
+Height-one classes.  At g >= 2 a cylinder is a maximal stack of rows
+(cycles of sigma_h) whose inner circles carry no cone point, and the
+circle below a row carries the cone point iff the vertex permutation c
+moves the bottom-left corner of some square of the row.  So a surface is
+height-one, every row a cylinder of height 1, iff the support of c meets
+every row; at g = 1, with no cone point, iff it has one row.  The census
+lists only these.  Squashing each cylinder of width w to height 1, and
+keeping its twist in [0, w), sends a surface of N squares to a height-one
+surface with the same widths and a height vector h >= 1 over its rows
+with sum h_i w_i = N; stretching row i back to height h_i inverts it.
+The map commutes with relabeling, and it is a bijection on classes
+because no height-one class has a nontrivial automorphism to carry one
+height vector to another: at g >= 2 every class has |Aut| = 1, and at
+g = 1 the torus has one row.  So a height-one class with sorted widths L
+stands for one class per height vector h >= 1, with len(L) cylinders and
+sum h_i L_i squares, and the census walks those h.
 
-Enumeration at g >= 2: sigma_h runs over one permutation per cycle type.
+Enumeration at g = 1: the height-one tori are the N one-row tori, sigma_h
+the rotation of the row and sigma_v the shift by -t, 0 <= t < N.  Each is
+the least of its Z(sigma_h)-conjugates, since the rotations of the row
+commute with sigma_v, and each has |Aut| = N.
+
+Enumeration at g >= 2: sigma_h runs over one permutation per cycle type
+with at most g cycles (a height-one surface has at most g rows, below).
 The vertex permutation c = [sigma_v, sigma_h] is a (2g-1)-cycle, and the
 condition is the same as sigma_v sigma_h sigma_v^{-1} = c sigma_h.  So
 sigma_v is built, never searched for: for every such c with c sigma_h of
@@ -26,8 +44,7 @@ kept iff it is the least of its Stab(c)-conjugates, as in orderly
 generation (Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26
 (1998)), and a kept class is represented by the least of its
 Z(sigma_h)-conjugates, which may lie in the coset of another c of the
-orbit.  At sigma_h = id no c fits, since c id = c is not of the
-identity's type, so the census never walks all of S_N.
+orbit.
 
 Transitivity is tested per row permutation.  Every z in Z(sigma_h) maps
 each row onto a row, by a row permutation rho_z, so pi_0 z sends row r
@@ -45,12 +62,13 @@ Z(sigma_h)-orbit of subsets meet every orbit of c.  Z(sigma_h) =
 prod_L C_L wr S_{m_L} rotates each row (cycle of sigma_h) and permutes
 the rows of one length, so two subsets lie in one orbit iff they have
 the same sorted list of (row length, rotation-least bit pattern on the
-row) over the rows they meet.  A subset S meeting k rows is skipped when
-k > g, by Riemann-Hurwitz: the first-return map rho of sigma_h on S has
-k cycles, c restricted to S is one (2g-1)-cycle gamma, and c sigma_h
-has the cycle type of sigma_h only if gamma rho has k cycles too; gamma,
-rho and (gamma rho)^{-1} generate a transitive group on S with product
-1, so 1 + k + k <= (2g - 1) + 2, that is k <= g.
+row) over the rows they meet.  Only the subsets that meet every row are
+kept.  A height-one sigma_h has at most g rows, by Riemann-Hurwitz: a
+support S meeting k rows carries the first-return map rho of sigma_h on
+S, with k cycles, c restricted to S is one (2g-1)-cycle gamma, and
+c sigma_h has the cycle type of sigma_h only if gamma rho has k cycles
+too; gamma, rho and (gamma rho)^{-1} generate a transitive group on S
+with product 1, so 1 + k + k <= (2g - 1) + 2, that is k <= g.
 
 The vertex permutation acts on bottom-left corners: rotating a full turn
 counterclockwise around the corner of square x visits the squares
@@ -67,9 +85,10 @@ regular point).
 Counting convention: the census reports both the plain number of
 conjugacy classes and the 1/|Aut|-weighted number.  The cylinder identity
 (census counts against the metric-counting route) holds for the
-UNWEIGHTED class count; this is pinned by verify_cylinder_formula for
-g = 1 first and then required at g = 2, where the two counts coincide
-anyway because a translation fixing the unique cone point is trivial.
+UNWEIGHTED class count; verify_cylinder_formula checks it per width
+multiset of the height-one classes and per (n, N) cell.  At g >= 2 the
+two counts coincide, because a translation fixing the unique cone point
+is trivial; at g = 1 every torus of N squares has N translations.
 """
 
 from __future__ import annotations
@@ -77,9 +96,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, compress, permutations, repeat
-from math import lcm, prod
+from math import prod
 from typing import Iterator, Sequence
 
 from .permutation import (
@@ -98,10 +117,8 @@ from .ribbon import PerimeterPair, counting_function
 
 __all__ = [
     "SquareTiledSurface",
-    "CylinderDecomposition",
     "enumerate_sts",
     "zero_profile",
-    "cylinder_decomposition",
     "census",
     "verify_cylinder_formula",
     "MAX_SQUARES",
@@ -121,38 +138,14 @@ class SquareTiledSurface:
         if len(self.sigma_h) != len(self.sigma_v):
             raise ValueError("permutations must act on the same squares")
 
-    @property
-    def num_squares(self) -> int:
-        return len(self.sigma_h)
-
     def vertex_permutation(self) -> Perm:
         """Action on bottom-left corners: sigma_v o sigma_h o sigma_v^-1 o sigma_h^-1."""
-        return self._vertex_permutation
-
-    @cached_property
-    def _vertex_permutation(self) -> Perm:
-        # Computed once per surface: the census reads it for the stratum
-        # check and again to split the cylinders.
         inv_v = inverse(self.sigma_v)
         return tuple(
             map(self.sigma_v.__getitem__,
                 map(self.sigma_h.__getitem__,
                     map(inv_v.__getitem__, _inverse(self.sigma_h))))
         )
-
-
-@dataclass(frozen=True)
-class CylinderDecomposition:
-    """Cylinders as (circumference, height) pairs, sorted."""
-
-    cylinders: tuple[tuple[int, int], ...]
-
-    @property
-    def n_cylinders(self) -> int:
-        return len(self.cylinders)
-
-    def total_squares(self) -> int:
-        return sum(length * height for length, height in self.cylinders)
 
 
 def zero_profile(surface: SquareTiledSurface) -> list[int]:
@@ -171,51 +164,6 @@ _rows = cache(indexed_cycles)
 # The census's sigma_h are one permutation per cycle type, so this holds
 # one inverse per type.
 _inverse = cache(inverse)
-
-
-def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition:
-    """Split the surface along its singular horizontal circles.
-
-    Rows are the cycles of sigma_h.  The circle below a row is singular
-    iff it carries a cone point, i.e. the vertex permutation moves some
-    corner of the row.  A cylinder is a maximal stack of rows whose
-    internal circles are regular; stacking is well defined there because
-    sigma_v then maps a row bijectively onto the next.
-    """
-    sv = surface.sigma_v
-    n = surface.num_squares
-    moved = {x for x, y in enumerate(surface.vertex_permutation()) if x != y}
-    row_list, row_of = _rows(surface.sigma_h)
-
-    def top_is_singular(idx: int) -> bool:
-        return not moved.isdisjoint(map(sv.__getitem__, row_list[idx]))
-
-    # On the torus no circle carries a cone point, sigma_v permutes the rows
-    # in one cycle, and the one stack starts at row 0 and ends below it.
-    starts = sorted({row_of[x] for x in moved}) or [0]
-    covered = [False] * len(row_list)
-    cylinders = []
-    for start in starts:
-        width = len(row_list[start])
-        height = 1
-        cur = start
-        covered[cur] = True
-        while not top_is_singular(cur):
-            nxt = row_of[sv[row_list[cur][0]]]
-            if nxt == start:
-                break
-            if len(row_list[nxt]) != width or covered[nxt]:
-                raise AssertionError("inconsistent cylinder stack")
-            covered[nxt] = True
-            cur = nxt
-            height += 1
-        cylinders.append((width, height))
-    if not all(covered):
-        raise AssertionError("cylinder decomposition did not cover all rows")
-    decomposition = CylinderDecomposition(tuple(sorted(cylinders)))
-    if decomposition.total_squares() != n:
-        raise AssertionError("cylinder areas do not sum to the square count")
-    return decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +185,14 @@ def _least_rotations(length: int) -> tuple[int, ...]:
 
 
 def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
-    """One (2g-1)-subset of the squares per Z(sigma_h)-orbit, meeting <= g rows.
+    """One (2g-1)-subset of the squares per Z(sigma_h)-orbit, meeting every row.
 
     Z(sigma_h) rotates each row and permutes the rows of one length, so
     the orbit of a subset is named by the length of each row it meets with
     the rotation-least bit pattern of the subset on that row, sorted.  The
     first subset of each orbit is yielded, in the order of combinations.
-    A subset meeting more than g rows carries no vertex cycle c (module
-    docstring), so it is skipped.
+    A subset that misses a row is the support of no height-one surface's
+    vertex cycle c (module docstring), so it is skipped.
     """
     row_list, row_of = _rows(sh)
     bit_of = [1 << row_list[row_of[x]].index(x) for x in range(len(sh))]
@@ -255,7 +203,7 @@ def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
         for x in support:
             idx = row_of[x]
             bits[idx] = bits.get(idx, 0) | bit_of[x]
-        if len(bits) > g:
+        if len(bits) < len(row_list):
             continue
         key = tuple(sorted((len(row_list[idx]), least_of[idx][b]) for idx, b in bits.items()))
         if key not in keys:
@@ -264,20 +212,10 @@ def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
 
 
 def _torus_classes(n_squares: int) -> Iterator[SquareTiledSurface]:
-    """One surface per index-n_squares sublattice of Z^2, in closed form.
-
-    The lattice with basis (m, 0), (t, d), m d = n_squares, 0 <= t < m,
-    labels square (x, y) of its fundamental domain as y m + x: sigma_h is
-    from_cycle_type((m,) * d), and sigma_v moves every row up by one, the
-    top row landing on row 0 shifted by -t.
-    """
-    for m in range(1, n_squares + 1):
-        if n_squares % m:
-            continue
-        sh = from_cycle_type((m,) * (n_squares // m))
-        for t in range(m):
-            sv = tuple(range(m, n_squares)) + tuple((x - t) % m for x in range(m))
-            yield SquareTiledSurface(sh, sv)
+    """The n_squares one-row tori: sigma_h rotates the row, sigma_v shifts it by -t."""
+    sh = from_cycle_type((n_squares,))
+    for t in range(n_squares):
+        yield SquareTiledSurface(sh, tuple((x - t) % n_squares for x in range(n_squares)))
 
 
 def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
@@ -293,29 +231,26 @@ def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
 
 
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
-    """Conjugacy classes of admissible pairs with exactly n_squares squares.
+    """Height-one conjugacy classes of admissible pairs with exactly n_squares squares.
 
-    Returns (representative, |Aut|) with |Aut| the centralizer order of
-    the pair, sorted by (sigma_h, sigma_v); every representative is the
-    least of its Z(sigma_h)-conjugates.
+    Every row of a listed class is a whole cylinder; the classes with
+    taller cylinders follow from these by the height bijection of the
+    module docstring.  Returns (representative, |Aut|) with |Aut| the
+    centralizer order of the pair, sorted by (sigma_h, sigma_v); every
+    representative is the least of its Z(sigma_h)-conjugates.
 
-    g = 1: the classes are the index-N sublattices of Z^2, listed by
-    `_torus_classes`, each with |Aut| = N (the translations of Z^2 modulo
-    the lattice).  Each listed sigma_v is already the least conjugate.
-    Z(sigma_h) rotates the d rows of length m and permutes them, and
-    sigma_v maps each row onto a row with a shift.  For d = 1, sigma_v is
-    a rotation, which Z(sigma_h) fixes.  For d > 1 the rows form one
-    sigma_v-cycle, so the least conjugate sends row r to row r + 1 with
-    shift 0 for r < d - 1; the last row's shift -t is then the sum of
-    the shifts around the cycle, which conjugation leaves unchanged.
+    g = 1: the classes are the N one-row tori of `_torus_classes`, each
+    with |Aut| = N (the translations along the row).  Z(sigma_h) is the
+    rotations of the row, which fix sigma_v, itself a rotation.
 
-    g >= 2: sigma_h runs over one representative per cycle type.  For
+    g >= 2: sigma_h runs over one representative per cycle type with at
+    most g cycles.  For
     each (2g-1)-cycle c with c sigma_h of the cycle type of sigma_h, the
     sigma_v with sigma_v sigma_h sigma_v^-1 = c sigma_h form the coset
     pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h, c sigma_h), and every
     other c contributes none.  The c are the cycles on one support per
-    Z(sigma_h)-orbit of (2g-1)-subsets that meet at most g rows (no c
-    lies on one that meets more), walked in order, and a c in the
+    Z(sigma_h)-orbit of (2g-1)-subsets that meet every row, walked in
+    order, and a c in the
     Z(sigma_h)-orbit of an earlier one is skipped.  Conjugating c by every
     y in Z(sigma_h) gives its orbit and Stab(c).  A transitive coset
     member sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
@@ -396,6 +331,8 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
     out = []
     identity, table_tail = _IDENTITY[:n_squares], _IDENTITY[n_squares:]
     for ctype in partitions(n_squares):
+        if len(ctype) > g:  # no height-one surface has more than g rows
+            continue
         sh = from_cycle_type(ctype)
         row_list, row_of = _rows(sh)
         row_firsts, row_table = bytes(row[0] for row in row_list), bytes(row_of) + table_tail
@@ -460,67 +397,103 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
     return out
 
 
+def _width_counts(g: int, n_max: int) -> Counter[tuple[int, ...]]:
+    """The height-one classes with at most n_max squares, by sorted widths.
+
+    The widths of a height-one class are its row lengths, the cycle type
+    of sigma_h.
+    """
+    by_sigma_h = Counter(
+        surface.sigma_h
+        for n_squares in range(1, n_max + 1)
+        for surface, _ in _enumerate_sts(g, n_squares)
+    )
+    counts: Counter[tuple[int, ...]] = Counter()
+    for sh, classes in by_sigma_h.items():
+        counts[cycle_type(sh)] += classes
+    return counts
+
+
 def census(g: int, n_max: int) -> dict[tuple[int, int], tuple[int, Fraction]]:
     """Counts by (cylinder count n, squares N) for all N <= n_max.
 
-    Values are (class count, 1/|Aut|-weighted class count).
+    Values are (class count, 1/|Aut|-weighted class count), in order of N
+    and then of n descending.  Each height-one class with sorted widths L
+    stands for one class per height vector h >= 1 (module docstring), with
+    len(L) cylinders and sum h_i L_i squares; the walk below lists those
+    sums up to n_max.  A torus of N squares has N translations, so at
+    g = 1 the weighted count is count / N; at g >= 2 it is the count,
+    since the listing asserts |Aut| = 1.
     """
-    cells: defaultdict[tuple[int, int], Counter[int]] = defaultdict(Counter)  # classes by |Aut|
-    for n_squares in range(1, n_max + 1):
-        for surface, aut in _enumerate_sts(g, n_squares):
-            n_cyl = cylinder_decomposition(surface).n_cylinders
-            if not 1 <= n_cyl <= g:
-                raise AssertionError(f"cylinder count {n_cyl} outside 1..{g}")
-            cells[n_cyl, n_squares][aut] += 1
-    table = {}
-    for key, by_aut in cells.items():
-        den = lcm(*by_aut)
-        weighted = sum(count * (den // aut) for aut, count in by_aut.items())
-        table[key] = (by_aut.total(), Fraction(weighted, den))
-    return table
+    cells: Counter[tuple[int, int]] = Counter()
+    for widths, classes in _width_counts(g, n_max).items():
+        areas = [0]
+        for width in widths:
+            areas = [a + h * width for a in areas for h in range(1, (n_max - a) // width + 1)]
+        for area in areas:
+            cells[len(widths), area] += classes
+    return {
+        (n_cyl, n_squares): (count, Fraction(count, n_squares if g == 1 else 1))
+        for (n_cyl, n_squares), count in sorted(cells.items(), key=lambda c: (c[0][1], -c[0][0]))
+    }
 
 
-def predicted_counts(g: int, n_max: int) -> dict[tuple[int, int], Fraction]:
-    """Right-hand side of the cylinder identity, by (cylinder count n, squares N).
+def _width_weights(g: int, n_max: int) -> dict[tuple[int, ...], Fraction]:
+    """Right-hand side of the cylinder identity per width multiset L, sum L <= n_max.
 
-    The n-cylinder classes with N squares number (1/n!) times the sum,
-    over positive (h, L) with sum h_i L_i = N, of
-    L_1 .. L_n * P^{g-n}_{n,n}(L; L), with the counting function evaluated
-    exactly at every lattice point (walls included).  Every factor is
-    symmetric in L (relabeling black and white vertices alike keeps the
-    family count), so L runs over partitions, each weighted by its
-    n! / prod m_i! orderings, and the 1/n! cancels.  The h-tuples of L,
-    for every N <= n_max at once, are the coefficients of
-    prod_i q^{L_i} / (1 - q^{L_i}).  Only the nonzero cells are listed.
+    The n-cylinder height-one classes with sorted widths L number
+    L_1 .. L_n * P^{g-n}_{n,n}(L; L) / prod m_i!, with m_i the
+    multiplicities in L and the counting function evaluated exactly at the
+    lattice point (walls included).  Every factor is symmetric in L
+    (relabeling black and white vertices alike keeps the family count), so
+    this is (1/n!) times the sum over the n! / prod m_i! orderings of L.
+    Only the nonzero weights are listed.
     """
-    cells: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    weights = {}
     for length_sum in range(1, n_max + 1):
         for lengths in partitions(length_sum):
             n_cyl = len(lengths)
             if n_cyl > g:
                 continue
             value = counting_function(g - n_cyl, n_cyl, n_cyl, PerimeterPair(lengths, lengths))
-            if value == 0:
-                continue
-            h_tuples = [1] + [0] * n_max
-            for length in lengths:
-                shifted = [0] * (n_max + 1)  # times q^L / (1 - q^L)
-                for m in range(length, n_max + 1):
-                    shifted[m] = h_tuples[m - length] + shifted[m - length]
-                h_tuples = shifted
-            weight = Fraction(prod(lengths), multiplicity_factorial(lengths)) * value
-            for n_squares, count in enumerate(h_tuples):
-                if count:
-                    cells[n_cyl, n_squares] += weight * count
+            if value:
+                weights[lengths] = Fraction(prod(lengths), multiplicity_factorial(lengths)) * value
+    return weights
+
+
+def predicted_counts(g: int, n_max: int) -> dict[tuple[int, int], Fraction]:
+    """Right-hand side of the cylinder identity, by (cylinder count n, squares N).
+
+    The n-cylinder classes with N squares number the sum, over the width
+    multisets L of `_width_weights` and the positive h with
+    sum h_i L_i = N, of the weight of L.  The h-tuples of L, for every
+    N <= n_max at once, are the coefficients of
+    prod_i q^{L_i} / (1 - q^{L_i}).  Only the nonzero cells are listed.
+    """
+    cells: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for lengths, weight in _width_weights(g, n_max).items():
+        h_tuples = [1] + [0] * n_max
+        for length in lengths:
+            shifted = [0] * (n_max + 1)  # times q^L / (1 - q^L)
+            for m in range(length, n_max + 1):
+                shifted[m] = h_tuples[m - length] + shifted[m - length]
+            h_tuples = shifted
+        for n_squares, count in enumerate(h_tuples):
+            if count:
+                cells[len(lengths), n_squares] += weight * count
     return {key: count for key, count in cells.items() if count}
 
 
 def verify_cylinder_formula(g: int, n_max: int) -> bool:
     """Cross-check the census against the tree/metric counting route.
 
-    For every n <= g and N <= n_max the unweighted number of n-cylinder
-    classes with N squares must equal the exact lattice sum of the
-    counting functions.
+    First per width multiset L with sum L <= n_max: the height-one classes
+    with sorted widths L must number the weight of L in `_width_weights`.
+    Then for every n <= g and N <= n_max the unweighted number of
+    n-cylinder classes with N squares must equal the exact lattice sum of
+    the counting functions.
     """
+    if _width_counts(g, n_max) != _width_weights(g, n_max):
+        return False
     observed = {key: count for key, (count, _) in census(g, n_max).items()}
     return observed == predicted_counts(g, n_max)

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from operator import mul
@@ -20,6 +23,7 @@ from stratavol.permutation import (
     cycles,
     from_cycle_type,
     from_cycles,
+    indexed_cycles,
     inverse,
     partitions,
 )
@@ -28,7 +32,6 @@ from stratavol.ribbon import PerimeterPair, counting_function
 from stratavol.sts import (
     SquareTiledSurface,
     census,
-    cylinder_decomposition,
     enumerate_sts,
     predicted_counts,
     verify_cylinder_formula,
@@ -36,17 +39,17 @@ from stratavol.sts import (
 )
 from stratavol.sts import _enumerate_sts
 
-# SHA-256 of repr(enumerate_sts(g, 8)): g = 2, 3 computed by the S_N scan,
-# g = 1 by the orbit closure over the transitive members of Z(sigma_h) that
-# the torus census used before it took the coset path (the coset scan and
-# the sublattice listing that replaced it both reproduce it), and g = 4
-# (9,800 classes) by the census that scanned one coset per vertex
-# permutation c, before it scanned one coset per Z(sigma_h)-orbit of c.
+# SHA-256 of repr(enumerate_sts(g, 8)), the height-one classes: computed
+# from the census that listed every class (tall cylinders too), whose full
+# listings at 8 squares hashed to d66598f9..., 3aa79ebf..., 643dede9... and
+# d00d2d42... for g = 1..4, by keeping the classes whose cylinders, split by
+# `cylinder_decomposition` below, all have height 1 (8, 90, 1,434 and 8,720
+# classes).
 CENSUS_DIGESTS_AT_8 = {
-    1: "d66598f94d82104c3869af9090138bf9fa497baa601a13a03d33c85d8c7a9bfb",
-    2: "3aa79ebf080fba79389e78af38e05cc6d6f41c8c26bbd4b10de3d12dbe2fb661",
-    3: "643dede9ae683cebf9c04e36743c00280cee662d6f29b420d748ed14091d7a8d",
-    4: "d00d2d42dcf7c86aeb89b7abf0463c0d9bf7d9cbaade7403020a5045e5cdf66e",
+    1: "936f5b9adf9f94b3cccdff9ded47658bb3399970180ef88d49b557bcd2fdbd78",
+    2: "91db7b17e26ba82a7b8af51fe4b72584ccd5600ffeff22d37b6ec80f608893b8",
+    3: "7c4cbd391c5c86ef9c7bcf5bd6dba50b10020930cc372f4364fd830a83fb666a",
+    4: "a6a04dc03ef2cc68924217340c61c0bb52d21db847dd4ff0e614d98a9b1242cf",
 }
 
 # SHA-256 of repr(census(g, 8)), computed by the census that walked every
@@ -82,7 +85,7 @@ def is_connected(surface: SquareTiledSurface) -> bool:
 def euler_consistent(surface: SquareTiledSurface) -> bool:
     """V - E + F = 2 - 2g with V = vertex cycles, E = 2N, F = N."""
     v = len(cycles(surface.vertex_permutation()))
-    n = surface.num_squares
+    n = len(surface.sigma_h)
     genus = (sum(zero_profile(surface)) + 2) // 2
     return v - 2 * n + n == 2 - 2 * genus
 
@@ -96,11 +99,12 @@ def reference_admissible(sh, sv, g: int) -> bool:
     return nontrivial == ([] if g == 1 else [2 * g - 1])
 
 
+@cache
 def reference_enumerate_sts(g: int, n_squares: int):
-    """The census by scanning every sigma_v in S_N for each sigma_h type.
+    """Every class, tall cylinders too, by scanning every sigma_v in S_N per sigma_h type.
 
     Each orbit under Z(sigma_h) is formed from the whole centralizer and
-    represented by its least element.
+    represented by its least element.  Cached, as a tuple.
     """
     out = []
     for ctype in partitions(n_squares):
@@ -114,7 +118,70 @@ def reference_enumerate_sts(g: int, n_squares: int):
             seen |= orbit
             out.append((SquareTiledSurface(sh, min(orbit)), len(centralizer) // len(orbit)))
     out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
-    return out
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class CylinderDecomposition:
+    """Cylinders as (circumference, height) pairs, sorted."""
+
+    cylinders: tuple[tuple[int, int], ...]
+
+    @property
+    def n_cylinders(self) -> int:
+        return len(self.cylinders)
+
+    def total_squares(self) -> int:
+        return sum(length * height for length, height in self.cylinders)
+
+
+def cylinder_decomposition(surface: SquareTiledSurface) -> CylinderDecomposition:
+    """Split the surface along its singular horizontal circles.
+
+    The reference for the census's height bijection.  Rows are the cycles
+    of sigma_h.  The circle below a row is singular iff it carries a cone
+    point, i.e. the vertex permutation moves some corner of the row.  A
+    cylinder is a maximal stack of rows whose internal circles are
+    regular; stacking is well defined there because sigma_v then maps a
+    row bijectively onto the next.
+    """
+    sv = surface.sigma_v
+    moved = {x for x, y in enumerate(surface.vertex_permutation()) if x != y}
+    row_list, row_of = indexed_cycles(surface.sigma_h)
+
+    def top_is_singular(idx: int) -> bool:
+        return not moved.isdisjoint(map(sv.__getitem__, row_list[idx]))
+
+    # On the torus no circle carries a cone point, sigma_v permutes the rows
+    # in one cycle, and the one stack starts at row 0 and ends below it.
+    starts = sorted({row_of[x] for x in moved}) or [0]
+    covered = [False] * len(row_list)
+    cylinders = []
+    for start in starts:
+        width = len(row_list[start])
+        height = 1
+        cur = start
+        covered[cur] = True
+        while not top_is_singular(cur):
+            nxt = row_of[sv[row_list[cur][0]]]
+            if nxt == start:
+                break
+            if len(row_list[nxt]) != width or covered[nxt]:
+                raise AssertionError("inconsistent cylinder stack")
+            covered[nxt] = True
+            cur = nxt
+            height += 1
+        cylinders.append((width, height))
+    if not all(covered):
+        raise AssertionError("cylinder decomposition did not cover all rows")
+    decomposition = CylinderDecomposition(tuple(sorted(cylinders)))
+    if decomposition.total_squares() != len(sv):
+        raise AssertionError("cylinder areas do not sum to the square count")
+    return decomposition
+
+
+def is_height_one(surface: SquareTiledSurface) -> bool:
+    return all(height == 1 for _, height in cylinder_decomposition(surface).cylinders)
 
 
 def rows_met(sh, support) -> int:
@@ -176,17 +243,21 @@ class TestCylinders:
         assert d.cylinders == ((3, 1),)
 
     def test_area_and_bounds(self):
-        for g in (1, 2):
-            for n_squares in range(max(1, 2 * g - 1), 7):
+        # every listed class is height-one, each row a cylinder, and has at
+        # most g rows
+        for g in (1, 2, 3):
+            for n_squares in range(max(1, 2 * g - 1), 8):
                 for surface, _ in enumerate_sts(g, n_squares):
                     d = cylinder_decomposition(surface)
                     assert d.total_squares() == n_squares
-                    assert 1 <= d.n_cylinders <= g
+                    assert all(height == 1 for _, height in d.cylinders)
+                    assert d.n_cylinders == len(cycles(surface.sigma_h)) <= g
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n_squares, classes", [(1, 1), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("n_squares, classes", [(1, 1), (2, 2), (3, 3)])
     def test_torus_counts(self, n_squares, classes):
+        # the one-row tori, one per twist
         assert len(enumerate_sts(1, n_squares)) == classes
 
     def test_below_minimum_area_empty(self):
@@ -247,7 +318,8 @@ class TestEnumeration:
         [(g, n) for g in (1, 2, 3, 4) for n in range(2 * g - 1, 8)],
     )
     def test_coset_census_matches_scan(self, g, n_squares):
-        assert enumerate_sts(g, n_squares) == reference_enumerate_sts(g, n_squares)
+        height_one = [pair for pair in reference_enumerate_sts(g, n_squares) if is_height_one(pair[0])]
+        assert enumerate_sts(g, n_squares) == height_one
 
     @pytest.mark.parametrize("g", sorted(CENSUS_DIGESTS_AT_8))
     def test_census_at_eight_squares_pinned(self, g):
@@ -273,8 +345,8 @@ class TestEnumeration:
             _enumerate_sts.cache_clear()
 
     def test_torus_stratum_check_exits_three(self, monkeypatch, capsys):
-        # a reversed sigma_h is no longer the row rotation that the
-        # sublattice's sigma_v commutes with
+        # a reversed sigma_h is no longer the row rotation that the shift
+        # sigma_v commutes with
         monkeypatch.setattr(sts, "from_cycle_type", lambda ctype: from_cycle_type(ctype)[::-1])
         _enumerate_sts.cache_clear()
         try:
@@ -283,7 +355,6 @@ class TestEnumeration:
             out = io.StringIO()
             assert main(["count", "sts", "--genus", "1", "--max-squares", "4"], out=out) == 3
             assert out.getvalue() == ""
-            # the census's cylinder check may fire first, at two squares
             err = capsys.readouterr().err
             assert err.startswith("internal error: ") and err.count("\n") == 1
         finally:
@@ -304,8 +375,8 @@ class TestEnumeration:
 class TestSupports:
     @pytest.mark.parametrize("n_squares", range(3, 8))
     def test_one_support_per_orbit(self, n_squares):
-        # the orbits of the (2g-1)-subsets under every element of
-        # Z(sigma_h), each met by exactly its least subset
+        # the orbits of the (2g-1)-subsets that meet every row under every
+        # element of Z(sigma_h), each met by exactly its least subset
         for ctype in partitions(n_squares):
             sh = from_cycle_type(ctype)
             for m in (3, 5, 7):
@@ -317,14 +388,15 @@ class TestSupports:
                         tuple(sorted(z[x] for x in support)) for z in centralizer_elements(sh)
                     )
                     for support in combinations(range(n_squares), m)
-                    if rows_met(sh, support) <= g
+                    if rows_met(sh, support) == len(ctype)
                 }
                 kept = list(sts._supports(sh, g))
                 assert kept == sorted(min(orbit) for orbit in orbits), (ctype, m)
 
     def test_vertex_cycle_meets_at_most_g_rows(self):
         # over every (2g-1)-cycle c with c sigma_h of sigma_h's type, N <= 7:
-        # the most rows met is g, so the bound that _supports uses is tight
+        # the most rows met is g, so a height-one sigma_h, whose every row
+        # c meets, has at most g rows, and the bound is tight
         most = {}
         for n_squares in range(3, 8):
             for g in range(2, (n_squares + 3) // 2):
@@ -402,6 +474,18 @@ class TestCensus:
             weighted = sum(w for (_, nn), (_, w) in table.items() if nn == n_squares)
             assert weighted == Fraction(divisor_sum(n_squares), n_squares)
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_heights_match_full_scan(self, g):
+        # every class of the S_N scan, tall cylinders too, counted by the
+        # cylinders of the test-side split, against the height walk
+        cells: dict[tuple[int, int], tuple[int, Fraction]] = {}
+        for n_squares in range(1, 8):
+            for surface, aut in reference_enumerate_sts(g, n_squares):
+                key = (cylinder_decomposition(surface).n_cylinders, n_squares)
+                count, weighted = cells.get(key, (0, Fraction(0)))
+                cells[key] = (count + 1, weighted + Fraction(1, aut))
+        assert census(g, 7) == cells
+
     @pytest.mark.parametrize("g", sorted(CENSUS_TABLE_DIGESTS_AT_8))
     def test_census_at_eight_squares_pinned(self, g):
         text = repr(census(g, 8))
@@ -459,3 +543,27 @@ class TestCylinderFormula:
             predicted_counts(2, 8)
         )
         assert verify_cylinder_formula(2, 8) is False
+
+    def test_class_under_the_wrong_widths_fails(self, monkeypatch):
+        # One class moved from widths (6, 1) to (5, 2): both have two
+        # cylinders and 7 squares at height one, and no taller class fits
+        # in 7 squares, so every (n, N) cell keeps its count.
+        counts = sts._width_counts(2, 7)
+        assert counts[6, 1] >= 1
+        moved = Counter(counts)
+        moved[6, 1] -= 1
+        moved[5, 2] += 1
+        before = census(2, 7)
+        monkeypatch.setattr(sts, "_width_counts", lambda g, n_max: moved)
+        assert census(2, 7) == before
+        assert verify_cylinder_formula(2, 7) is False
+
+    @pytest.mark.parametrize("g, n_max", [(2, 12), (3, 10)])
+    def test_width_identity_past_the_cap(self, monkeypatch, g, n_max):
+        # the height-one classes per width multiset, beyond the CLI's cap
+        monkeypatch.setattr(sts, "MAX_SQUARES", n_max)
+        _enumerate_sts.cache_clear()
+        try:
+            assert sts._width_counts(g, n_max) == sts._width_weights(g, n_max)
+        finally:
+            _enumerate_sts.cache_clear()
