@@ -46,15 +46,12 @@ generation (Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26
 Z(sigma_h)-conjugates, which may lie in the coset of another c of the
 orbit.
 
-Transitivity is tested per row permutation.  Every z in Z(sigma_h) maps
-each row onto a row, by a row permutation rho_z, so pi_0 z sends row r
-into the rows that pi_0 sends row rho_z(r) into, and sigma_h moves each
-square around its row.  So whether <sigma_h, pi_0 z> is transitive
-depends on rho_z alone, not on the rotations in z: it is tested once per
-row permutation, on the graph of rows, and only the members whose row
-permutation passes are walked.  In that loop every permutation is a byte
-string: p q is q.translate(p + bytes(range(N, 256))), one C call, and
-y p y^{-1} is two.
+Every coset member is transitive.  It satisfies [sigma_v, sigma_h] = c,
+so <sigma_h, sigma_v> holds sigma_h, whose orbits are the rows, and c.
+The one cycle of c meets every row, since only such supports are kept
+(below), so one orbit holds every square.  In the loop every permutation
+is a byte string: p q is q.translate(p + bytes(range(N, 256))), one C
+call, and y p y^{-1} is two.
 
 The candidates c are found by their supports.  z maps the support of c
 onto that of z c z^{-1}, so the cycles on one (2g-1)-subset per
@@ -256,11 +253,10 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     member sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
     permutation; |Aut| is the number of y in Stab(c) that fix it, since an
     automorphism fixes c = [sigma_v, sigma_h], and the representative is
-    the least Z(sigma_h)-conjugate of the kept sigma_v.  Transitivity is
-    decided once per row permutation of Z(sigma_h), on the rows (module
-    docstring).  Every |Aut| must be 1, and the kept classes of each orbit
-    of c times |Stab(c)| must be the number of transitive coset members
-    of c.
+    the least Z(sigma_h)-conjugate of the kept sigma_v.  Every coset
+    member is transitive (module docstring).  Every |Aut| must be 1, and
+    the kept classes of each orbit of c times |Stab(c)| must be the
+    number of coset members of c.
 
     Every representative's vertex permutation is checked to have the
     cycle type of the stratum (AssertionError if a check fails).
@@ -295,32 +291,6 @@ def _conjugates(p: bytes, tables: Sequence[bytes], inverses: Sequence[bytes]) ->
     return map(bytes.translate, map(bytes.translate, inverses, repeat(table)), tables)
 
 
-def _row_reach(pi: Sequence[int], sh: Perm) -> list[int]:
-    """Entry r: the bitmask of the rows of sigma_h that pi maps squares of row r into."""
-    row_list, row_of = _rows(sh)
-    return [sum({1 << row_of[pi[x]] for x in row}) for row in row_list]
-
-
-def _connected(reach: list[int], rho: Sequence[int]) -> bool:
-    """Is <sigma_h, pi z> transitive, for reach = _row_reach(pi, sigma_h)?
-
-    z in Z(sigma_h) maps row r onto row rho[r], so pi z sends row r into
-    the rows of reach[rho[r]], and sigma_h moves each square around its
-    row.  The orbit of a finite permutation group is the set its
-    generators reach forward from one point, so the pair is transitive iff
-    every row is reached from row 0 along these arrows.
-    """
-    reached, todo = 1, [0]
-    while todo:
-        new = reach[rho[todo.pop()]] & ~reached
-        reached |= new
-        while new:
-            low = new & -new
-            todo.append(low.bit_length() - 1)
-            new ^= low
-    return reached == (1 << len(reach)) - 1
-
-
 def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
     """The classes at g >= 2, one coset per Z(sigma_h)-orbit of c, unsorted.
 
@@ -334,10 +304,11 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
         if len(ctype) > g:  # no height-one surface has more than g rows
             continue
         sh = from_cycle_type(ctype)
-        row_list, row_of = _rows(sh)
-        row_firsts, row_table = bytes(row[0] for row in row_list), bytes(row_of) + table_tail
         sh_bytes = bytes(sh)
-        tables: tuple[bytes, ...] = ()
+        centralizer = [bytes(z) for z in centralizer_elements(sh)]
+        tables = tuple(z + table_tail for z in centralizer)
+        # the table with entry z[i] = i is that of z^-1
+        inverses = tuple(bytes.maketrans(z, identity)[:n_squares] for z in centralizer)
         for first, *rest in _supports(sh, g):
             # Kept supports lie in distinct Z(sigma_h)-orbits, so only the
             # conjugates of this support's cycles can come up again.
@@ -351,48 +322,30 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
                 c_sh = sh_bytes.translate(c_table)
                 if cycle_type(c_sh) != ctype:
                     continue
-                if not tables:  # built once some c fits, which none does at id
-                    centralizer = [bytes(z) for z in centralizer_elements(sh)]
-                    tables = tuple(z + table_tail for z in centralizer)
-                    # the table with entry z[i] = i is that of z^-1
-                    inverses = tuple(
-                        bytes.maketrans(z, identity)[:n_squares] for z in centralizer
-                    )
-                    # z maps row r onto row rho[r] of its length, so the rows
-                    # that pi_0 z sends row r into depend on rho alone; rho
-                    # is the row of z(first square of row r), for each r
-                    by_rows: dict[bytes, list[bytes]] = {}
-                    for z, table in zip(centralizer, tables):
-                        rho = row_firsts.translate(table).translate(row_table)
-                        by_rows.setdefault(rho, []).append(z)
                 images = list(_conjugates(c, tables, inverses))
                 seen.update(images)
                 stab_tables = list(compress(tables, map(c.__eq__, images)))
                 stab_inverses = list(compress(inverses, map(c.__eq__, images)))
                 pi_0 = bytes(conjugator(sh, c_sh)) + table_tail
-                reach = _row_reach(pi_0, sh)
-                members, first_kept = 0, len(out)
-                for rho, zs in by_rows.items():
-                    if not _connected(reach, rho):
-                        continue
-                    for sv in map(bytes.translate, zs, repeat(pi_0)):
-                        members += 1
-                        aut = 0
-                        for image in _conjugates(sv, stab_tables, stab_inverses):
-                            if image < sv:
-                                break
-                            aut += image == sv
-                        else:
-                            least = tuple(min(_conjugates(sv, tables, inverses)))
-                            out.append((_in_stratum(SquareTiledSurface(sh, least), g), aut))
+                first_kept = len(out)
+                for sv in map(bytes.translate, centralizer, repeat(pi_0)):
+                    aut = 0
+                    for image in _conjugates(sv, stab_tables, stab_inverses):
+                        if image < sv:
+                            break
+                        aut += image == sv
+                    else:
+                        least = tuple(min(_conjugates(sv, tables, inverses)))
+                        out.append((_in_stratum(SquareTiledSurface(sh, least), g), aut))
                 # A translation automorphism fixes the one zero, and no cyclic
                 # cover is branched over one point, so every class has |Aut| = 1
                 # and meets the coset of c in |Stab(c)| members.
                 kept = out[first_kept:]
-                if any(aut != 1 for _, aut in kept) or len(kept) * len(stab_tables) != members:
+                if any(aut != 1 for _, aut in kept) or len(kept) * len(stab_tables) != len(tables):
                     raise AssertionError(
                         f"census of sigma_h {sh}, c {tuple(c)}: {len(kept)} classes with "
-                        f"|Stab(c)| = {len(stab_tables)} against {members} transitive coset members"
+                        f"|Stab(c)| = {len(stab_tables)} against {len(tables)} "
+                        "transitive coset members"
                     )
     return out
 
@@ -403,15 +356,11 @@ def _width_counts(g: int, n_max: int) -> Counter[tuple[int, ...]]:
     The widths of a height-one class are its row lengths, the cycle type
     of sigma_h.
     """
-    by_sigma_h = Counter(
-        surface.sigma_h
+    return Counter(
+        cycle_type(surface.sigma_h)
         for n_squares in range(1, n_max + 1)
         for surface, _ in _enumerate_sts(g, n_squares)
     )
-    counts: Counter[tuple[int, ...]] = Counter()
-    for sh, classes in by_sigma_h.items():
-        counts[cycle_type(sh)] += classes
-    return counts
 
 
 def census(g: int, n_max: int) -> dict[tuple[int, int], tuple[int, Fraction]]:
@@ -461,17 +410,19 @@ def _width_weights(g: int, n_max: int) -> dict[tuple[int, ...], Fraction]:
     return weights
 
 
-def predicted_counts(g: int, n_max: int) -> dict[tuple[int, int], Fraction]:
+def predicted_counts(
+    weights: dict[tuple[int, ...], Fraction], n_max: int
+) -> dict[tuple[int, int], Fraction]:
     """Right-hand side of the cylinder identity, by (cylinder count n, squares N).
 
     The n-cylinder classes with N squares number the sum, over the width
-    multisets L of `_width_weights` and the positive h with
-    sum h_i L_i = N, of the weight of L.  The h-tuples of L, for every
+    multisets L of weights (from `_width_weights`) and the positive h
+    with sum h_i L_i = N, of the weight of L.  The h-tuples of L, for every
     N <= n_max at once, are the coefficients of
     prod_i q^{L_i} / (1 - q^{L_i}).  Only the nonzero cells are listed.
     """
     cells: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    for lengths, weight in _width_weights(g, n_max).items():
+    for lengths, weight in weights.items():
         h_tuples = [1] + [0] * n_max
         for length in lengths:
             shifted = [0] * (n_max + 1)  # times q^L / (1 - q^L)
@@ -493,7 +444,8 @@ def verify_cylinder_formula(g: int, n_max: int) -> bool:
     n-cylinder classes with N squares must equal the exact lattice sum of
     the counting functions.
     """
-    if _width_counts(g, n_max) != _width_weights(g, n_max):
+    weights = _width_weights(g, n_max)
+    if _width_counts(g, n_max) != weights:
         return False
     observed = {key: count for key, (count, _) in census(g, n_max).items()}
-    return observed == predicted_counts(g, n_max)
+    return observed == predicted_counts(weights, n_max)

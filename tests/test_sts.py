@@ -1,6 +1,5 @@
 import hashlib
 import io
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,11 +274,14 @@ class TestEnumeration:
             enumerate_sts(1, 9)
 
     def test_all_admissible(self):
-        for surface, aut in enumerate_sts(2, 5):
-            assert is_connected(surface)
-            assert zero_profile(surface) == [2]
-            assert euler_consistent(surface)
-            assert aut >= 1
+        # the kernel tests no transitivity: a coset member is transitive
+        # because its vertex cycle meets every row
+        for g, n_squares in product(range(2, 5), range(1, 9)):
+            for surface, aut in enumerate_sts(g, n_squares):
+                assert is_connected(surface)
+                assert zero_profile(surface) == [2 * g - 2]
+                assert euler_consistent(surface)
+                assert aut >= 1
 
     def test_genus_two_has_no_automorphisms(self):
         # a translation fixing the single cone point is the identity
@@ -413,30 +415,6 @@ class TestSupports:
 
 
 class TestKernel:
-    def test_row_connectivity_is_transitivity(self):
-        # <sigma_h, pi z> is transitive iff the row graph of pi and the row
-        # permutation of z is, for every z in Z(sigma_h): pi runs over the
-        # pi_0 of every vertex cycle c that fits sigma_h at g = 2, 3 and over
-        # a few random permutations
-        rng = random.Random(0)
-        for n_squares in range(1, 8):
-            for ctype in partitions(n_squares):
-                sh = from_cycle_type(ctype)
-                pis = {tuple(rng.sample(range(n_squares), n_squares)) for _ in range(3)}
-                for m in (3, 5):
-                    for first, *rest in combinations(range(n_squares), m):
-                        for tail in permutations(rest):
-                            c_sh = compose(from_cycles([(first, *tail)], n_squares), sh)
-                            if cycle_type(c_sh) == ctype:
-                                pis.add(conjugator(sh, c_sh))
-                rows = cycles(sh)
-                row_of = {x: r for r, row in enumerate(rows) for x in row}
-                for pi in pis:
-                    reach = sts._row_reach(pi, sh)
-                    for z in centralizer_elements(sh):
-                        rho = [row_of[z[row[0]]] for row in rows]
-                        assert sts._connected(reach, rho) == is_transitive(sh, compose(pi, z))
-
     @pytest.mark.parametrize("length", range(1, 9))
     def test_rotation_table(self, length):
         # against the least of the length rotations of each bit list
@@ -522,7 +500,8 @@ class TestCylinderFormula:
 
     @pytest.mark.parametrize("n_cyl", [1, 2, 3, 4])
     def test_partition_sum_matches_composition_sum(self, n_cyl):
-        predicted = {nn: count for (n, nn), count in predicted_counts(4, 10).items() if n == n_cyl}
+        cells = predicted_counts(sts._width_weights(4, 10), 10)
+        predicted = {nn: count for (n, nn), count in cells.items() if n == n_cyl}
         assert predicted == reference_counts(4, n_cyl, 10)
 
     def test_class_under_the_wrong_square_count_fails(self, monkeypatch):
@@ -540,7 +519,7 @@ class TestCylinderFormula:
             return {n: sum(c for (m, _), c in cells.items() if m == n) for n in (1, 2)}
 
         assert totals({key: count for key, (count, _) in shifted.items()}) == totals(
-            predicted_counts(2, 8)
+            predicted_counts(sts._width_weights(2, 8), 8)
         )
         assert verify_cylinder_formula(2, 8) is False
 
@@ -560,10 +539,13 @@ class TestCylinderFormula:
 
     @pytest.mark.parametrize("g, n_max", [(2, 12), (3, 10)])
     def test_width_identity_past_the_cap(self, monkeypatch, g, n_max):
-        # the height-one classes per width multiset, beyond the CLI's cap
+        # the height-one classes per width multiset, beyond the CLI's cap,
+        # each of them transitive
         monkeypatch.setattr(sts, "MAX_SQUARES", n_max)
         _enumerate_sts.cache_clear()
         try:
             assert sts._width_counts(g, n_max) == sts._width_weights(g, n_max)
+            for n_squares in range(1, n_max + 1):
+                assert all(is_connected(surface) for surface, _ in enumerate_sts(g, n_squares))
         finally:
             _enumerate_sts.cache_clear()
