@@ -38,13 +38,18 @@ Conjugating sigma_v by Z(sigma_h) relabels the squares and keeps
 sigma_h, so the classes with this sigma_h are the Z(sigma_h)-orbits of
 the transitive coset members.  Conjugating by z in Z(sigma_h) maps the
 coset of c onto the coset of z c z^{-1}, so one c per Z(sigma_h)-orbit
-is scanned, and the classes meet its coset in the orbits of the
-stabilizer Stab(c) = {y in Z(sigma_h) : y c y^{-1} = c}.  A member is
-kept iff it is the least of its Stab(c)-conjugates, as in orderly
-generation (Read, Ann. Discrete Math. 2 (1978); McKay, J. Algorithms 26
-(1998)), and a kept class is represented by the least of its
-Z(sigma_h)-conjugates, which may lie in the coset of another c of the
-orbit.
+is scanned, and every class whose c lies in that orbit meets its coset.  A
+class is represented by the least of its Z(sigma_h)-conjugates, which
+may lie in the coset of another c of the orbit, so the classes of the
+coset are the set of the least conjugates of its members.  The size of
+that set proves that each has |Aut| = 1.  An automorphism
+commutes with sigma_h and sigma_v, so it fixes c = [sigma_v, sigma_h]
+and lies in the stabilizer Stab(c) = {y in Z(sigma_h) : y c y^{-1} = c},
+and a class with |Aut| = a meets the coset of c in |Stab(c)|/a members.
+The coset has |Z(sigma_h)| members, so the sum of 1/a over its classes
+is |Z(sigma_h)|/|Stab(c)|: the number of classes times |Stab(c)| is at
+least |Z(sigma_h)|, with equality iff every a is 1, and the census
+asserts the equality.
 
 Every coset member is transitive.  It satisfies [sigma_v, sigma_h] = c,
 so <sigma_h, sigma_v> holds sigma_h, whose orbits are the rows, and c.
@@ -94,7 +99,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, compress, permutations, repeat
+from itertools import combinations, permutations, repeat
 from math import prod
 from typing import Iterator, Sequence
 
@@ -216,13 +221,8 @@ def _torus_classes(n_squares: int) -> Iterator[SquareTiledSurface]:
 
 
 def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
-    """The surface, once its moved corners form one (2g-1)-cycle (none at g = 1)."""
-    c = surface.vertex_permutation()
-    moved = [x for x, y in enumerate(c) if x != y]
-    cycle = moved[:1]  # the cycle through the first moved corner
-    while cycle and c[cycle[-1]] != cycle[0]:
-        cycle.append(c[cycle[-1]])
-    if len(cycle) != len(moved) or len(moved) != (2 * g - 1 if g > 1 else 0):
+    """The surface, once its vertex permutation is one (2g-1)-cycle (none at g = 1)."""
+    if zero_profile(surface) != [2 * g - 2]:
         raise AssertionError(f"census class outside the minimal stratum of genus {g}")
     return surface
 
@@ -241,22 +241,17 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     rotations of the row, which fix sigma_v, itself a rotation.
 
     g >= 2: sigma_h runs over one representative per cycle type with at
-    most g cycles.  For
-    each (2g-1)-cycle c with c sigma_h of the cycle type of sigma_h, the
-    sigma_v with sigma_v sigma_h sigma_v^-1 = c sigma_h form the coset
-    pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h, c sigma_h), and every
-    other c contributes none.  The c are the cycles on one support per
-    Z(sigma_h)-orbit of (2g-1)-subsets that meet every row, walked in
-    order, and a c in the
-    Z(sigma_h)-orbit of an earlier one is skipped.  Conjugating c by every
-    y in Z(sigma_h) gives its orbit and Stab(c).  A transitive coset
-    member sigma_v is kept iff no y in Stab(c) conjugates it to a smaller
-    permutation; |Aut| is the number of y in Stab(c) that fix it, since an
-    automorphism fixes c = [sigma_v, sigma_h], and the representative is
-    the least Z(sigma_h)-conjugate of the kept sigma_v.  Every coset
-    member is transitive (module docstring).  Every |Aut| must be 1, and
-    the kept classes of each orbit of c times |Stab(c)| must be the
-    number of coset members of c.
+    most g cycles.  For each (2g-1)-cycle c with c sigma_h of the cycle
+    type of sigma_h, the sigma_v with sigma_v sigma_h sigma_v^-1 = c sigma_h
+    form the coset pi_0 Z(sigma_h), pi_0 = conjugator(sigma_h, c sigma_h),
+    and every other c contributes none.  The c are the cycles on one
+    support per Z(sigma_h)-orbit of (2g-1)-subsets that meet every row,
+    walked in order, and a c in the Z(sigma_h)-orbit of an earlier one is
+    skipped.  Every coset member is transitive, and the classes of a coset
+    are the least Z(sigma_h)-conjugates of its members, each with
+    |Aut| = 1.  Their number times |Stab(c)|, the y in Z(sigma_h) with
+    y c y^-1 = c, must be the number of coset members, which holds iff
+    every class has |Aut| = 1 (module docstring).
 
     Every representative's vertex permutation is checked to have the
     cycle type of the stratum (AssertionError if a check fails).
@@ -324,27 +319,21 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
                     continue
                 images = list(_conjugates(c, tables, inverses))
                 seen.update(images)
-                stab_tables = list(compress(tables, map(c.__eq__, images)))
-                stab_inverses = list(compress(inverses, map(c.__eq__, images)))
                 pi_0 = bytes(conjugator(sh, c_sh)) + table_tail
-                first_kept = len(out)
-                for sv in map(bytes.translate, centralizer, repeat(pi_0)):
-                    aut = 0
-                    for image in _conjugates(sv, stab_tables, stab_inverses):
-                        if image < sv:
-                            break
-                        aut += image == sv
-                    else:
-                        least = tuple(min(_conjugates(sv, tables, inverses)))
-                        out.append((_in_stratum(SquareTiledSurface(sh, least), g), aut))
-                # A translation automorphism fixes the one zero, and no cyclic
-                # cover is branched over one point, so every class has |Aut| = 1
-                # and meets the coset of c in |Stab(c)| members.
-                kept = out[first_kept:]
-                if any(aut != 1 for _, aut in kept) or len(kept) * len(stab_tables) != len(tables):
+                leasts = {
+                    min(_conjugates(sv, tables, inverses))
+                    for sv in map(bytes.translate, centralizer, repeat(pi_0))
+                }
+                for least in leasts:
+                    out.append((_in_stratum(SquareTiledSurface(sh, tuple(least)), g), 1))
+                # An automorphism fixes c = [sigma_v, sigma_h], so a class with
+                # |Aut| = a meets the coset in |Stab(c)|/a of its |Z(sigma_h)|
+                # members: the count below holds iff every class has |Aut| = 1.
+                stab_order = images.count(c)
+                if len(leasts) * stab_order != len(tables):
                     raise AssertionError(
-                        f"census of sigma_h {sh}, c {tuple(c)}: {len(kept)} classes with "
-                        f"|Stab(c)| = {len(stab_tables)} against {len(tables)} "
+                        f"census of sigma_h {sh}, c {tuple(c)}: {len(leasts)} classes with "
+                        f"|Stab(c)| = {stab_order} against {len(tables)} "
                         "transitive coset members"
                     )
     return out

@@ -169,11 +169,14 @@ def cylinder_partial_sum(s: tuple[int, ...], n_max: int) -> int:
     """Exact sum of L_1^{s_1} .. L_n^{s_n} over h_i, L_i >= 1, sum h_i L_i <= N.
 
     Per coordinate, the pairs (h, L) with hL = m contribute the divisor
-    power sum sigma_{s_i}(m); the total is an iterated convolution.
+    power sum sigma_{s_i}(m); the total is an iterated convolution.  Every
+    s_i must be >= 0, so that every term is an integer.
     """
     n = len(s)
     if n < 1:
         raise ValueError("need at least one exponent")
+    if any(e < 0 for e in s):
+        raise ValueError("every exponent must be >= 0")
     if n_max < 1:
         return 0
 
@@ -219,8 +222,11 @@ def asymptotic_prediction(s: tuple[int, ...], n_max: int) -> float:
     """Leading term of cylinder_partial_sum as N grows.
 
     N^(S+n) / (S+n)! * prod_i s_i! zeta(s_i + 1), with S = sum s_i and
-    n = len(s).  Zeta values at odd arguments are summed numerically.
+    n = len(s).  Every s_i must be >= 1, since zeta(1) diverges.  Zeta
+    values at odd arguments are summed numerically.
     """
+    if any(e < 1 for e in s):
+        raise ValueError("every exponent must be >= 1")
     n = len(s)
     total_exp = sum(s) + n
     value = float(n_max) ** total_exp / math.factorial(total_exp)

@@ -116,6 +116,28 @@ def test_no_dead_private_helpers(name):
     assert dead == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # Every name a submodule imports at module level is read there or
+    # exported in its `__all__`; the package's own imports are re-exports.
+    tree = ast.parse((SOURCE / f"{name}.py").read_text())
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set(getattr(importlib.import_module(f"stratavol.{name}"), "__all__", ()))
+    unused = [alias for alias in imported if alias not in read | exported]
+    assert unused == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Paper results exported from stratavol that no other code path calls.
 PAPER_RESULTS = {

@@ -291,7 +291,8 @@ class TestEnumeration:
     # For g >= 2 the Z(sigma_h)-orbit of c often spans several cosets, and a
     # class's least conjugate can lie outside the coset that was scanned.
     @pytest.mark.parametrize(
-        "g, n_squares", [(1, 4), (1, 6), (1, 8), (2, 5), (3, 6), (2, 8), (3, 7), (4, 7)]
+        "g, n_squares",
+        [(1, 4), (1, 6), (1, 8), (2, 5), (3, 6), (2, 8), (3, 7), (4, 7), (3, 8), (4, 8)],
     )
     def test_representative_is_orbit_minimum(self, g, n_squares):
         for surface, aut in enumerate_sts(g, n_squares):

@@ -132,6 +132,12 @@ class TestPartialSums:
     def test_small_exact_values(self, s, n, expected):
         assert cylinder_partial_sum(s, n) == expected
 
+    @pytest.mark.parametrize("s", [(-1,), (1, -2)])
+    def test_negative_exponent_refused(self, s):
+        # a negative power of L is no longer an integer
+        with pytest.raises(ValueError, match="every exponent must be >= 0"):
+            cylinder_partial_sum(s, 4)
+
     def test_one_variable_matches_divisor_sums(self):
         def sigma(m):
             return sum(d for d in range(1, m + 1) if m % d == 0)
@@ -144,6 +150,12 @@ class TestPartialSums:
         value = asymptotic_prediction((1,), 100)
         zeta2 = math.pi**2 / 6
         assert value == pytest.approx(100**2 / 2 * zeta2, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [(0,), (1, 0), (-1,)])
+    def test_prediction_refuses_exponent_below_one(self, s):
+        # zeta(s_i + 1) diverges at s_i = 0
+        with pytest.raises(ValueError, match="every exponent must be >= 1"):
+            asymptotic_prediction(s, 4)
 
     def test_ratio_converges_moderate_n(self):
         ratio = cylinder_partial_sum((1,), 2000) / asymptotic_prediction((1,), 2000)
