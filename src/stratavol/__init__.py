@@ -18,7 +18,7 @@ from .ribbon import (
     p0_oracle,
     wall_sample_point,
 )
-from .scalars import PiScaled, bernoulli, zeta_even
+from .scalars import PiScaled, bernoulli
 from .series import TruncatedSeries, UPoly, lagrange_invert, series_exp, series_pow_u, sine_quotient
 from .sts import SquareTiledSurface, census, enumerate_sts, verify_cylinder_formula, zero_profile
 from .volumes import (

@@ -142,11 +142,6 @@ def multiplicity_factorial(parts) -> int:
     return prod(factorial(m) for m in Counter(parts).values())
 
 
-def centralizer_order(ctype: tuple[int, ...]) -> int:
-    """|Z(p)| in S_n for p of the given cycle type: prod_i i^{m_i} m_i!."""
-    return prod(ctype) * multiplicity_factorial(ctype)
-
-
 @cache
 def centralizer_elements(p: Perm) -> tuple[Perm, ...]:
     """All elements of the centralizer of p in S_n, as a cached tuple.
@@ -155,8 +150,7 @@ def centralizer_elements(p: Perm) -> tuple[Perm, ...]:
     length, at one of its rotations; so Z(p) is the product over the cycle
     lengths L, with m_L cycles each, of C_L wr S_{m_L}.  Each element is
     listed as the map from the cycles of p, concatenated, onto one choice
-    of image cycles and rotations, the identity first.  Raises
-    AssertionError unless there are centralizer_order elements.
+    of image cycles and rotations, the identity first.
     """
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for cyc in cycles(p):
@@ -170,7 +164,4 @@ def centralizer_elements(p: Perm) -> tuple[Perm, ...]:
         for length, group in by_length.items()
     ]
     source = inverse(sum((cyc for group in by_length.values() for cyc in group), ()))
-    elems = tuple(compose(sum(image, ()), source) for image in product(*images))
-    if len(elems) != centralizer_order(cycle_type(p)):
-        raise AssertionError(f"centralizer has {len(elems)} elements, not the centralizer order")
-    return elems
+    return tuple(compose(sum(image, ()), source) for image in product(*images))

@@ -254,5 +254,5 @@ def pgvn_polynomial(g: int, n: int) -> HomogeneousVolumePolynomial:
         coeff = Fraction(2**n) * p_value(tuple(2 * s for s in comp))
         for s in comp:
             coeff /= factorial(2 * s)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        terms[exps] = coeff
     return HomogeneousVolumePolynomial(genus=g, n=n, terms=terms)

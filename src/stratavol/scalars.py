@@ -16,7 +16,6 @@ from functools import cache
 __all__ = [
     "PiScaled",
     "bernoulli",
-    "zeta_even",
     "format_rational",
 ]
 
@@ -69,29 +68,9 @@ class PiScaled:
             )
         return PiScaled(self.coeff + other.coeff, self.pi_exponent)
 
-    def __mul__(self, other: "PiScaled") -> "PiScaled":
-        return PiScaled(self.coeff * other.coeff, self.pi_exponent + other.pi_exponent)
-
-    def scale(self, q: Fraction | int) -> "PiScaled":
-        return PiScaled(self.coeff * q, self.pi_exponent)
-
     def to_float(self) -> float:
         return float(self.coeff) * math.pi**self.pi_exponent
 
     def to_json(self) -> dict[str, object]:
         return {"coeff": format_rational(self.coeff), "pi_exp": self.pi_exponent}
 
-
-def zeta_even(s: int) -> PiScaled:
-    """zeta(2s) as an exact rational multiple of pi^(2s).
-
-    Uses zeta(2s) = (-1)^(s+1) B_{2s} (2 pi)^{2s} / (2 (2s)!).
-    """
-    if s < 1:
-        raise ValueError("zeta_even requires s >= 1")
-    coeff = (
-        Fraction((-1) ** (s + 1))
-        * bernoulli(2 * s)
-        * Fraction(2 ** (2 * s), 2 * math.factorial(2 * s))
-    )
-    return PiScaled(coeff, 2 * s)

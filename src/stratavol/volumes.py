@@ -2,9 +2,8 @@
 
 Two independent routes produce the same numbers:
 
-* the table route: a_{g,n} from the p-numbers through the Bernoulli form
-  (cross-checked internally against the zeta form), and the series C(t,u)
-  assembled from the a_{g,n};
+* the table route: a_{g,n} from the p-numbers through the Bernoulli form,
+  and the series C(t,u) assembled from the a_{g,n};
 * the inversion route: C(t,u) = t / Q^{-1}(t,u) with
   Q = t * exp(sum (k-1)! b_k(u) t^k) and b_k(u) = [t^k] ((t/2)/sin(t/2))^u.
 
@@ -20,7 +19,7 @@ from math import factorial
 
 from .permutation import multiplicity_factorial, partitions
 from .pnum import p_value
-from .scalars import PiScaled, bernoulli, zeta_even
+from .scalars import PiScaled, bernoulli
 from .series import (
     TruncatedSeries,
     UPoly,
@@ -52,37 +51,19 @@ def _genus_walk(g: int) -> tuple[Fraction, ...]:
     The summand is symmetric in the s_i, so the sum runs over the
     partitions of g into n parts, each over prod_i m_i! for the
     multiplicities m_i of its parts instead of n!.  Each partition adds
-    its term to the entry n = len(parts).
-
-    The same walk sums the zeta form of the n-cylinder contribution,
-        (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i,
-    and asserts it equal to 2 (2 pi)^(2g) / (2g-1)! * a_{g,n}, and every
-    a_{g,n} positive; the pi-powers cancel identically.
+    its term to the entry n = len(parts).  Raises AssertionError unless
+    every a_{g,n} is positive.
     """
-    bernoulli_sums = [Fraction(0)] * (g + 1)
-    zeta_sums = [PiScaled(Fraction(0), 2 * g)] * (g + 1)
+    sums = [Fraction(0)] * (g + 1)
     for parts in partitions(g):
-        weight = Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts))
-        term, zeta_term = weight, PiScaled(weight, 0)
+        term = Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts))
         for s in parts:
             term *= Fraction((-1) ** (s + 1)) * bernoulli(2 * s) / (2 * s * factorial(2 * s))
-            zeta_term = zeta_term * zeta_even(s).scale(Fraction(1, s))
-        n = len(parts)
-        bernoulli_sums[n] += term
-        zeta_sums[n] = zeta_sums[n] + zeta_term
-    scale = Fraction(2, factorial(2 * g - 1))
-    for n in range(1, g + 1):
-        total = bernoulli_sums[n]
+        sums[len(parts)] += term
+    for n, total in enumerate(sums[1:], 1):
         if total <= 0:
             raise AssertionError(f"a_{{{g},{n}}} must be positive, got {total}")
-        result = PiScaled(scale * 2 ** (2 * g) * total, 2 * g)
-        zeta_total = zeta_sums[n].scale(scale)
-        if zeta_total != result:
-            raise AssertionError(
-                f"zeta and Bernoulli forms disagree at (g,n)=({g},{n}): "
-                f"{zeta_total} vs {result}"
-            )
-    return tuple(bernoulli_sums[1:])
+    return tuple(sums[1:])
 
 
 def a_gn(g: int, n: int) -> Fraction:
@@ -95,7 +76,8 @@ def a_gn(g: int, n: int) -> Fraction:
 def vol_n(g: int, n: int) -> PiScaled:
     """Contribution of n-cylinder surfaces: 2 (2 pi)^(2g) / (2g-1)! * a_{g,n}.
 
-    The walk behind a_gn has checked it against the zeta form.
+    Since zeta(2s) = (-1)^(s+1) B_{2s} (2 pi)^(2s) / (2 (2s)!), this is the
+    zeta form (2/(2g-1)!) (1/n!) sum p_{2s} prod zeta(2s_i)/s_i.
     """
     return PiScaled(a_gn(g, n) * Fraction(2 ** (2 * g + 1), factorial(2 * g - 1)), 2 * g)
 
@@ -225,9 +207,11 @@ def asymptotic_prediction(s: tuple[int, ...], n_max: int) -> float:
     n = len(s).  Every s_i must be >= 1, since zeta(1) diverges.  Zeta
     values at odd arguments are summed numerically.
     """
+    n = len(s)
+    if n < 1:
+        raise ValueError("need at least one exponent")
     if any(e < 1 for e in s):
         raise ValueError("every exponent must be >= 1")
-    n = len(s)
     total_exp = sum(s) + n
     value = float(n_max) ** total_exp / math.factorial(total_exp)
     for e in s:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -120,6 +121,35 @@ class TestSeries:
 
     def test_order_guard(self, capsys):
         assert_refused(["series", "--order", "3"], "--order must be even and >= 2", capsys)
+
+
+class TestFullSizePins:
+    # SHA-256 of the whole output at the guard limits, so a change to any
+    # a_{g,n} up to g = 10 or any coefficient of C(t,u) to t^20 shows here.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ["volumes", "--gmax", "10", "--format", "json"],
+                "7b9842d867572d0b81edbfc1fd475e8e3bf2e8ee8c6c8129826250990e83c3a7",
+                id="volumes-json",
+            ),
+            pytest.param(
+                ["volumes", "--gmax", "10", "--format", "csv"],
+                "39efd0088290e54632cb866f9006ff012743c4dcc45084444b15e1bcb6e3a84c",
+                id="volumes-csv",
+            ),
+            pytest.param(
+                ["series", "--order", "20", "--format", "json"],
+                "f396af3a491b1c6c74b7de0cfce523ca3fe3e33a5755d332dc498e01db974072",
+                id="series-json",
+            ),
+        ],
+    )
+    def test_output_digest(self, argv, digest):
+        code, text = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCount:

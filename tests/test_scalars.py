@@ -7,7 +7,6 @@ from stratavol.scalars import (
     PiScaled,
     bernoulli,
     format_rational,
-    zeta_even,
 )
 
 
@@ -43,27 +42,6 @@ class TestBernoulli:
             bernoulli(-1)
 
 
-class TestZetaEven:
-    @pytest.mark.parametrize(
-        "s, coeff",
-        [(1, Fraction(1, 6)), (2, Fraction(1, 90)), (3, Fraction(1, 945))],
-    )
-    def test_small_values(self, s, coeff):
-        value = zeta_even(s)
-        assert value.coeff == coeff
-        assert value.pi_exponent == 2 * s
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            zeta_even(0)
-
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_float_sanity_against_partial_sums(self, s):
-        partial = sum(n ** (-2.0 * s) for n in range(1, 10**6 + 1))
-        value = zeta_even(s).to_float()
-        assert abs(value - partial) / partial < 1e-6
-
-
 class TestPiScaled:
     def test_addition_same_exponent(self):
         a = PiScaled(Fraction(1, 3), 2)
@@ -80,10 +58,6 @@ class TestPiScaled:
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
             PiScaled(Fraction(1), 3)
-
-    def test_multiplication_adds_exponents(self):
-        prod = PiScaled(Fraction(1, 2), 2) * PiScaled(Fraction(2, 3), 4)
-        assert prod == PiScaled(Fraction(1, 3), 6)
 
     def test_serialization(self):
         assert PiScaled(Fraction(1, 3), 2).to_json() == {"coeff": "1/3", "pi_exp": 2}

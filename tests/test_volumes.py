@@ -1,11 +1,15 @@
 import io
+import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from stratavol import volumes
 from stratavol.cli import main
-from stratavol.scalars import PiScaled, zeta_even
+from stratavol.permutation import multiplicity_factorial, partitions
+from stratavol.pnum import p_value
+from stratavol.scalars import PiScaled
 from stratavol.series import UPoly
 from stratavol.volumes import (
     a_gn,
@@ -69,20 +73,51 @@ class TestVolN:
         assert vol_n(2, 1) == PiScaled(Fraction(1, 270), 4)
         assert vol_n(2, 2) == PiScaled(Fraction(1, 216), 4)
 
-    def test_zeta_and_bernoulli_forms_agree_through_g8(self):
-        # the walk behind a_gn computes both forms and raises on any mismatch.
-        for g in range(1, 9):
-            for n in range(1, g + 1):
-                vol_n(g, n)
-
-    def test_form_mismatch_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(volumes, "zeta_even", lambda s: zeta_even(s).scale(2))
-        with pytest.raises(AssertionError, match=r"disagree at \(g,n\)=\(2,1\)"):
-            volumes._genus_walk.__wrapped__(2)
-
     def test_total_volumes(self):
         assert total_volume(1) == PiScaled(Fraction(1, 3), 2)
         assert total_volume(2) == PiScaled(Fraction(1, 120), 4)
+
+
+@cache
+def zeta_over_pi_power(s: int) -> Fraction:
+    """r_s = zeta(2s) / pi^(2s), with no Bernoulli number on the way.
+
+    r_1 = 1/6 and (s + 1/2) r_s = sum_{k=1}^{s-1} r_k r_{s-k}, the
+    recurrence of the power series of (1 - x cot x) / 2 = sum r_s x^(2s).
+    """
+    if s == 1:
+        return Fraction(1, 6)
+    total = sum(zeta_over_pi_power(k) * zeta_over_pi_power(s - k) for k in range(1, s))
+    return total / Fraction(2 * s + 1, 2)
+
+
+class TestZetaForm:
+    @pytest.mark.parametrize(
+        "s, ratio",
+        [(1, Fraction(1, 6)), (2, Fraction(1, 90)), (3, Fraction(1, 945))],
+    )
+    def test_small_values(self, s, ratio):
+        assert zeta_over_pi_power(s) == ratio
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_float_sanity_against_partial_sums(self, s):
+        partial = sum(n ** (-2.0 * s) for n in range(1, 10**6 + 1))
+        value = PiScaled(zeta_over_pi_power(s), 2 * s).to_float()
+        assert abs(value - partial) / partial < 1e-6
+
+    def test_vol_n_is_the_zeta_form_through_g10(self):
+        # vol_n(g, n) = (2/(2g-1)!) (1/n!) sum over compositions of g of
+        # p_{2s} prod zeta(2s_i)/s_i, summed here over partitions instead
+        for g in range(1, 11):
+            sums = [Fraction(0)] * (g + 1)
+            for parts in partitions(g):
+                term = Fraction(p_value(tuple(2 * s for s in parts)), multiplicity_factorial(parts))
+                for s in parts:
+                    term *= zeta_over_pi_power(s) / s
+                sums[len(parts)] += term
+            for n in range(1, g + 1):
+                expected = PiScaled(Fraction(2, math.factorial(2 * g - 1)) * sums[n], 2 * g)
+                assert vol_n(g, n) == expected, (g, n)
 
 
 class TestCSeries:
@@ -144,9 +179,12 @@ class TestPartialSums:
 
         assert cylinder_partial_sum((1,), 30) == sum(sigma(m) for m in range(1, 31))
 
-    def test_prediction_formula_shape(self):
-        import math
+    @pytest.mark.parametrize("function", [cylinder_partial_sum, asymptotic_prediction])
+    def test_empty_exponents_refused(self, function):
+        with pytest.raises(ValueError, match="need at least one exponent"):
+            function((), 4)
 
+    def test_prediction_formula_shape(self):
         value = asymptotic_prediction((1,), 100)
         zeta2 = math.pi**2 / 6
         assert value == pytest.approx(100**2 / 2 * zeta2, rel=1e-9)
