@@ -8,8 +8,7 @@ image of ``i``.  Composition follows the function convention:
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -141,27 +140,3 @@ def multiplicity_factorial(parts) -> int:
     """prod_i m_i! over the multiplicities m_i of the values in parts."""
     return prod(factorial(m) for m in Counter(parts).values())
 
-
-@cache
-def centralizer_elements(p: Perm) -> tuple[Perm, ...]:
-    """All elements of the centralizer of p in S_n, as a cached tuple.
-
-    z commutes with p iff it maps each cycle of p onto a cycle of the same
-    length, at one of its rotations; so Z(p) is the product over the cycle
-    lengths L, with m_L cycles each, of C_L wr S_{m_L}.  Each element is
-    listed as the map from the cycles of p, concatenated, onto one choice
-    of image cycles and rotations, the identity first.
-    """
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in cycles(p):
-        by_length.setdefault(len(cyc), []).append(cyc)
-    images = [
-        [
-            sum((cyc[r:] + cyc[:r] for cyc, r in zip(order, shifts)), ())
-            for order in permutations(group)
-            for shifts in product(range(length), repeat=len(group))
-        ]
-        for length, group in by_length.items()
-    ]
-    source = inverse(sum((cyc for group in by_length.values() for cyc in group), ()))
-    return tuple(compose(sum(image, ()), source) for image in product(*images))

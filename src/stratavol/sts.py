@@ -56,7 +56,11 @@ so <sigma_h, sigma_v> holds sigma_h, whose orbits are the rows, and c.
 The one cycle of c meets every row, since only such supports are kept
 (below), so one orbit holds every square.  In the loop every permutation
 is a byte string: p q is q.translate(p + bytes(range(N, 256))), one C
-call, and y p y^{-1} is two.
+call, and y p y^{-1} is two.  Z(sigma_h) is built as byte strings from
+the rows of the canonical sigma_h, which lie on consecutive blocks.  The
+census caches each class as a record (widths, sigma_v as bytes, |Aut|),
+its sigma_h being from_cycle_type(widths); census reads the widths, and
+only enumerate_sts builds SquareTiledSurface objects.
 
 The candidates c are found by their supports.  z maps the support of c
 onto that of z c z^{-1}, so the cycles on one (2g-1)-subset per
@@ -82,7 +86,10 @@ corner whose vertex has 4m incident squares lies on a cycle of length m,
 so cone points of the flat metric are the nontrivial cycles; membership in
 the minimal stratum of genus g means a single cycle of length 2g-1
 (for g = 1 the vertex permutation is trivial and the marked point is a
-regular point).
+regular point).  The census checks this for every class it lists, on
+bytes: it forms the commutator with bytes.maketrans and translate, from
+sigma_h and sigma_h^{-1} built once per cycle type, counts the moved
+points and walks the orbit of the first.
 
 Counting convention: the census reports both the plain number of
 conjugacy classes and the 1/|Aut|-weighted number.  The cylinder identity
@@ -99,13 +106,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, groupby, permutations, product, repeat
 from math import prod
 from typing import Iterator, Sequence
 
 from .permutation import (
     Perm,
-    centralizer_elements,
     conjugator,
     cycle_type,
     cycles,
@@ -146,7 +152,7 @@ class SquareTiledSurface:
         return tuple(
             map(self.sigma_v.__getitem__,
                 map(self.sigma_h.__getitem__,
-                    map(inv_v.__getitem__, _inverse(self.sigma_h))))
+                    map(inv_v.__getitem__, inverse(self.sigma_h))))
         )
 
 
@@ -163,9 +169,6 @@ def zero_profile(surface: SquareTiledSurface) -> list[int]:
 
 # The rows (the cycles of sigma_h) and the index of each square's row.
 _rows = cache(indexed_cycles)
-# The census's sigma_h are one permutation per cycle type, so this holds
-# one inverse per type.
-_inverse = cache(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ def _least_rotations(length: int) -> tuple[int, ...]:
     )
 
 
-def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
+def _supports(sh: bytes, g: int) -> Iterator[tuple[int, ...]]:
     """One (2g-1)-subset of the squares per Z(sigma_h)-orbit, meeting every row.
 
     Z(sigma_h) rotates each row and permutes the rows of one length, so
@@ -213,18 +216,55 @@ def _supports(sh: Perm, g: int) -> Iterator[tuple[int, ...]]:
             yield support
 
 
-def _torus_classes(n_squares: int) -> Iterator[SquareTiledSurface]:
+# The classes with one sigma_h: (sigma_h, its widths, the sigma_v), every
+# permutation as bytes.
+_Block = tuple[bytes, tuple[int, ...], list[bytes]]
+
+
+def _bytes_inverse(p: bytes) -> bytes:
+    """p^-1 as bytes: the table with entry p[i] = i."""
+    return bytes.maketrans(p, _IDENTITY[:len(p)])[:len(p)]
+
+
+def _commutator(sv: bytes, sh: bytes, sh_inv: bytes) -> bytes:
+    """sigma_v sigma_h sigma_v^-1 sigma_h^-1, every permutation as bytes.
+
+    sigma_v sigma_h sigma_v^-1 maps sigma_v[x] to sigma_v[sigma_h[x]], so
+    bytes.maketrans gives its table, and sigma_h^-1 translated by that
+    table is the commutator.
+    """
+    return sh_inv.translate(bytes.maketrans(sv, sh.translate(sv + _IDENTITY[len(sv):])))
+
+
+def _in_stratum(g: int, widths: tuple[int, ...], sv: bytes, c: bytes) -> None:
+    """Raise unless the vertex permutation c is one (2g-1)-cycle, the identity at g = 1.
+
+    c moves 2g - 1 points (none at g = 1), and the orbit of the first
+    moved point holds them all.
+    """
+    moved = [x for x, y in enumerate(c) if x != y]
+    length = 0
+    if moved:
+        x, length = c[moved[0]], 1
+        while x != moved[0]:
+            x, length = c[x], length + 1
+    if not len(moved) == length == (2 * g - 1 if g > 1 else 0):
+        raise AssertionError(
+            f"census class outside the minimal stratum of genus {g}: widths {widths}, "
+            f"sigma_v {tuple(sv)}, commutator of cycle type {cycle_type(c)}"
+        )
+
+
+def _torus_classes(n_squares: int) -> list[_Block]:
     """The n_squares one-row tori: sigma_h rotates the row, sigma_v shifts it by -t."""
-    sh = from_cycle_type((n_squares,))
-    for t in range(n_squares):
-        yield SquareTiledSurface(sh, tuple((x - t) % n_squares for x in range(n_squares)))
-
-
-def _in_stratum(surface: SquareTiledSurface, g: int) -> SquareTiledSurface:
-    """The surface, once its vertex permutation is one (2g-1)-cycle (none at g = 1)."""
-    if zero_profile(surface) != [2 * g - 2]:
-        raise AssertionError(f"census class outside the minimal stratum of genus {g}")
-    return surface
+    widths = (n_squares,)
+    sh = bytes(from_cycle_type(widths))
+    sh_inv = _bytes_inverse(sh)
+    row = _IDENTITY[:n_squares]
+    shifts = [row[-t:] + row[:-t] for t in range(n_squares)]  # t = 0: row[-0:] is row
+    for sv in shifts:
+        _in_stratum(1, widths, sv, _commutator(sv, sh, sh_inv))
+    return [(sh, widths, shifts)]
 
 
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
@@ -234,7 +274,9 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     taller cylinders follow from these by the height bijection of the
     module docstring.  Returns (representative, |Aut|) with |Aut| the
     centralizer order of the pair, sorted by (sigma_h, sigma_v); every
-    representative is the least of its Z(sigma_h)-conjugates.
+    representative is the least of its Z(sigma_h)-conjugates.  The list is
+    built on each call from the cached records of `_enumerate_sts`, one
+    sigma_h per width type.
 
     g = 1: the classes are the N one-row tori of `_torus_classes`, each
     with |Aut| = N (the translations along the row).  Z(sigma_h) is the
@@ -253,15 +295,23 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     y c y^-1 = c, must be the number of coset members, which holds iff
     every class has |Aut| = 1 (module docstring).
 
-    Every representative's vertex permutation is checked to have the
-    cycle type of the stratum (AssertionError if a check fails).
+    Every class, tori included, is checked on bytes to have a vertex
+    permutation of the stratum: one (2g-1)-cycle, the identity at g = 1
+    (AssertionError naming the class if a check fails).
     """
-    return list(_enumerate_sts(g, n_squares))
+    records = _enumerate_sts(g, n_squares)
+    sigma_h = {widths: from_cycle_type(widths) for widths in {widths for widths, _, _ in records}}
+    return [(SquareTiledSurface(sigma_h[widths], tuple(sv)), aut) for widths, sv, aut in records]
 
 
 @cache
-def _enumerate_sts(g: int, n_squares: int) -> tuple[tuple[SquareTiledSurface, int], ...]:
-    """The classes of enumerate_sts, cached as a tuple that no caller can change."""
+def _enumerate_sts(g: int, n_squares: int) -> tuple[tuple[tuple[int, ...], bytes, int], ...]:
+    """The classes of enumerate_sts as (widths, sigma_v as bytes, |Aut|) records.
+
+    A record's sigma_h is from_cycle_type(widths).  The records are sorted
+    by (sigma_h, sigma_v), which bytes compare as the tuples do, and cached
+    as a tuple that no caller can change.
+    """
     if g < 1:
         raise ValueError("g must be >= 1")
     if n_squares < 1 or n_squares > MAX_SQUARES:
@@ -269,11 +319,35 @@ def _enumerate_sts(g: int, n_squares: int) -> tuple[tuple[SquareTiledSurface, in
     if n_squares < 2 * g - 1:
         return ()
     if g == 1:
-        out = [(_in_stratum(surface, 1), n_squares) for surface in _torus_classes(n_squares)]
+        blocks, aut = _torus_classes(n_squares), n_squares
     else:
-        out = _coset_classes(g, n_squares)
-    out.sort(key=lambda pair: (pair[0].sigma_h, pair[0].sigma_v))
-    return tuple(out)
+        blocks, aut = _coset_classes(g, n_squares), 1
+    return tuple(
+        (widths, sv, aut)
+        for _, widths, classes in sorted(blocks, key=lambda block: block[0])
+        for sv in sorted(classes)
+    )
+
+
+def _centralizer(sh: bytes) -> list[bytes]:
+    """Every element of Z(sigma_h) as bytes, the identity first.
+
+    z commutes with sigma_h iff it maps each row onto a row of the same
+    length, at one of its rotations: per length, one ordering of the rows
+    of that length and one rotation of each.  sigma_h = from_cycle_type(ctype)
+    has its rows on consecutive blocks, longest first, so z is the
+    concatenation of the images of the rows in order.
+    """
+    groups = [[bytes(row) for row in rows] for _, rows in groupby(_rows(sh)[0], len)]
+    choices = [
+        [
+            b"".join(row[r:] + row[:r] for row, r in zip(order, shifts))
+            for order in permutations(group)
+            for shifts in product(range(len(group[0])), repeat=len(group))
+        ]
+        for group in groups
+    ]
+    return [b"".join(image) for image in product(*choices)]
 
 
 def _conjugates(p: bytes, tables: Sequence[bytes], inverses: Sequence[bytes]) -> Iterator[bytes]:
@@ -286,24 +360,24 @@ def _conjugates(p: bytes, tables: Sequence[bytes], inverses: Sequence[bytes]) ->
     return map(bytes.translate, map(bytes.translate, inverses, repeat(table)), tables)
 
 
-def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
-    """The classes at g >= 2, one coset per Z(sigma_h)-orbit of c, unsorted.
+def _coset_classes(g: int, n_squares: int) -> list[_Block]:
+    """The classes at g >= 2, one block per sigma_h, unsorted.
 
-    Inside the loop c, pi_0, sigma_v and Z(sigma_h) are bytes: p q is q
-    translated by the table p + _IDENTITY[N:], and every conjugate goes
-    through `_conjugates`.
+    Each sigma_h gets one coset per Z(sigma_h)-orbit of c.  c, pi_0,
+    sigma_v and Z(sigma_h) are bytes: p q is q translated by the table
+    p + _IDENTITY[N:], and every conjugate goes through `_conjugates`.
     """
-    out = []
-    identity, table_tail = _IDENTITY[:n_squares], _IDENTITY[n_squares:]
+    blocks = []
+    table_tail = _IDENTITY[n_squares:]
     for ctype in partitions(n_squares):
         if len(ctype) > g:  # no height-one surface has more than g rows
             continue
-        sh = from_cycle_type(ctype)
-        sh_bytes = bytes(sh)
-        centralizer = [bytes(z) for z in centralizer_elements(sh)]
+        sh = bytes(from_cycle_type(ctype))
+        sh_inv = _bytes_inverse(sh)
+        centralizer = _centralizer(sh)
         tables = tuple(z + table_tail for z in centralizer)
-        # the table with entry z[i] = i is that of z^-1
-        inverses = tuple(bytes.maketrans(z, identity)[:n_squares] for z in centralizer)
+        inverses = tuple(map(_bytes_inverse, centralizer))
+        classes = []
         for first, *rest in _supports(sh, g):
             # Kept supports lie in distinct Z(sigma_h)-orbits, so only the
             # conjugates of this support's cycles can come up again.
@@ -314,7 +388,7 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
                 c = c_table[:n_squares]
                 if c in seen:
                     continue
-                c_sh = sh_bytes.translate(c_table)
+                c_sh = sh.translate(c_table)
                 if cycle_type(c_sh) != ctype:
                     continue
                 images = list(_conjugates(c, tables, inverses))
@@ -324,31 +398,33 @@ def _coset_classes(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int
                     min(_conjugates(sv, tables, inverses))
                     for sv in map(bytes.translate, centralizer, repeat(pi_0))
                 }
-                for least in leasts:
-                    out.append((_in_stratum(SquareTiledSurface(sh, tuple(least)), g), 1))
+                for sv in leasts:
+                    _in_stratum(g, ctype, sv, _commutator(sv, sh, sh_inv))
+                classes.extend(leasts)
                 # An automorphism fixes c = [sigma_v, sigma_h], so a class with
                 # |Aut| = a meets the coset in |Stab(c)|/a of its |Z(sigma_h)|
                 # members: the count below holds iff every class has |Aut| = 1.
                 stab_order = images.count(c)
                 if len(leasts) * stab_order != len(tables):
                     raise AssertionError(
-                        f"census of sigma_h {sh}, c {tuple(c)}: {len(leasts)} classes with "
-                        f"|Stab(c)| = {stab_order} against {len(tables)} "
+                        f"census of sigma_h {tuple(sh)}, c {tuple(c)}: {len(leasts)} classes "
+                        f"with |Stab(c)| = {stab_order} against {len(tables)} "
                         "transitive coset members"
                     )
-    return out
+        blocks.append((sh, ctype, classes))
+    return blocks
 
 
 def _width_counts(g: int, n_max: int) -> Counter[tuple[int, ...]]:
     """The height-one classes with at most n_max squares, by sorted widths.
 
     The widths of a height-one class are its row lengths, the cycle type
-    of sigma_h.
+    of sigma_h, kept in its record.
     """
     return Counter(
-        cycle_type(surface.sigma_h)
+        widths
         for n_squares in range(1, n_max + 1)
-        for surface, _ in _enumerate_sts(g, n_squares)
+        for widths, _, _ in _enumerate_sts(g, n_squares)
     )
 
 

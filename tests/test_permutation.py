@@ -4,7 +4,6 @@ from math import prod
 import pytest
 
 from stratavol.permutation import (
-    centralizer_elements,
     compose,
     conjugate,
     conjugator,
@@ -17,6 +16,8 @@ from stratavol.permutation import (
     multiplicity_factorial,
     partitions,
 )
+
+from centralizer import centralizer_elements
 
 
 def is_transitive(p, q) -> bool:

@@ -13,7 +13,6 @@ import pytest
 from stratavol import sts
 from stratavol.cli import main
 from stratavol.permutation import (
-    centralizer_elements,
     compose,
     conjugate,
     conjugator,
@@ -37,6 +36,8 @@ from stratavol.sts import (
     zero_profile,
 )
 from stratavol.sts import _enumerate_sts
+
+from centralizer import centralizer_elements
 
 # SHA-256 of repr(enumerate_sts(g, 8)), the height-one classes: computed
 # from the census that listed every class (tall cylinders too), whose full
@@ -364,6 +365,37 @@ class TestEnumeration:
         finally:
             _enumerate_sts.cache_clear()
 
+    def test_stratum_error_names_the_class(self, monkeypatch):
+        # the reversed sigma_h of the torus test: the error names the first
+        # class that fails, on one line
+        monkeypatch.setattr(sts, "from_cycle_type", lambda ctype: from_cycle_type(ctype)[::-1])
+        _enumerate_sts.cache_clear()
+        try:
+            with pytest.raises(AssertionError) as error:
+                enumerate_sts(1, 4)
+        finally:
+            _enumerate_sts.cache_clear()
+        sh, sv = from_cycle_type((4,))[::-1], (3, 0, 1, 2)
+        c = SquareTiledSurface(sh, sv).vertex_permutation()
+        assert str(error.value) == (
+            "census class outside the minimal stratum of genus 1: widths (4,), "
+            f"sigma_v {sv}, commutator of cycle type {cycle_type(c)}"
+        )
+
+    def test_census_builds_no_surface(self, monkeypatch):
+        # the census reads the cached records, never a SquareTiledSurface
+        def refuse(*args):
+            raise AssertionError("SquareTiledSurface built")
+
+        monkeypatch.setattr(sts, "SquareTiledSurface", refuse)
+        _enumerate_sts.cache_clear()
+        try:
+            assert hashlib.sha256(repr(census(3, 8)).encode()).hexdigest() == (
+                CENSUS_TABLE_DIGESTS_AT_8[3]
+            )
+        finally:
+            _enumerate_sts.cache_clear()
+
     def test_orbit_count_check(self, monkeypatch):
         # a scan that never finds a smaller conjugate keeps every transitive
         # coset member, so the classes overcount the Z(sigma_h)-orbits
@@ -426,6 +458,61 @@ class TestKernel:
             bits = [pattern >> i & 1 for i in range(length)]
             rotations = (bits[r:] + bits[:r] for r in range(length))
             assert least == min(sum(bit << i for i, bit in enumerate(rot)) for rot in rotations)
+
+    @pytest.mark.parametrize("n_squares", range(1, 9))
+    def test_centralizer_matches_reference(self, n_squares):
+        # the census's bytes Z(sigma_h) against the tuple reference, with no
+        # element listed twice
+        for ctype in partitions(n_squares):
+            sh = from_cycle_type(ctype)
+            elements = sts._centralizer(bytes(sh))
+            assert len(set(elements)) == len(elements)
+            assert set(elements) == set(map(bytes, centralizer_elements(sh)))
+
+    @pytest.mark.parametrize(
+        "g, cycs, n_squares, accepted",
+        [
+            (5, [tuple(range(9))], 9, True),
+            (5, [tuple(range(1, 10))], 11, True),
+            (2, [(0, 1, 2)], 3, True),
+            (5, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], 9, False),  # 9 moved, no 9-cycle
+            (5, [tuple(range(9)), (9, 10, 11)], 12, False),  # a 9-cycle and more
+            (3, [(0, 1), (2, 3)], 5, False),
+            (2, [], 4, False),
+            (3, [], 6, False),
+            (1, [(0, 1, 2)], 3, False),
+            (1, [(0, 1, 2), (3, 4, 5)], 6, False),
+            (1, [], 4, True),
+        ],
+    )
+    def test_stratum_check_on_crafted_pairs(self, g, cycs, n_squares, accepted):
+        # a pair with commutator c: sigma_v conjugates sigma_h to c sigma_h
+        c = from_cycles(cycs, n_squares)
+        sh = next(
+            from_cycle_type(ctype)
+            for ctype in partitions(n_squares)
+            if cycle_type(compose(c, from_cycle_type(ctype))) == ctype
+        )
+        sv = conjugator(sh, compose(c, sh))
+        sv_bytes, sh_bytes = bytes(sv), bytes(sh)
+        commutator = sts._commutator(sv_bytes, sh_bytes, bytes(inverse(sh)))
+        assert commutator == bytes(SquareTiledSurface(sh, sv).vertex_permutation()) == bytes(c)
+        if accepted:
+            sts._in_stratum(g, cycle_type(sh), sv_bytes, commutator)
+        else:
+            with pytest.raises(AssertionError, match=f"minimal stratum of genus {g}: "):
+                sts._in_stratum(g, cycle_type(sh), sv_bytes, commutator)
+
+    def test_stratum_check_rejects_odd_commutator(self):
+        # a 3-cycle and a 2-cycle move 5 points at g = 3; no pair has this
+        # odd commutator, so the check gets it directly
+        c = bytes(from_cycles([(0, 1, 2), (3, 4)], 6))
+        with pytest.raises(AssertionError) as error:
+            sts._in_stratum(3, (6,), bytes(range(6)), c)
+        assert str(error.value) == (
+            "census class outside the minimal stratum of genus 3: widths (6,), "
+            "sigma_v (0, 1, 2, 3, 4, 5), commutator of cycle type (3, 2, 1)"
+        )
 
 
 class TestCensus:
