@@ -58,9 +58,9 @@ The one cycle of c meets every row, since only such supports are kept
 is a byte string: p q is q.translate(p + bytes(range(N, 256))), one C
 call, and y p y^{-1} is two.  Z(sigma_h) is built as byte strings from
 the rows of the canonical sigma_h, which lie on consecutive blocks.  The
-census caches each class as a record (widths, sigma_v as bytes, |Aut|),
-its sigma_h being from_cycle_type(widths); census reads the widths, and
-only enumerate_sts builds SquareTiledSurface objects.
+kernel yields the classes one coset at a time and keeps none: census
+keeps only the number of classes per width multiset and per N, and only
+enumerate_sts builds SquareTiledSurface objects.
 
 The candidates c are found by their supports.  z maps the support of c
 onto that of z c z^{-1}, so the cycles on one (2g-1)-subset per
@@ -108,7 +108,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, groupby, permutations, product, repeat
 from math import prod
-from typing import Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .permutation import (
     Perm,
@@ -143,8 +143,8 @@ class SquareTiledSurface:
     sigma_v: Perm
 
     def __post_init__(self) -> None:
-        if len(self.sigma_h) != len(self.sigma_v):
-            raise ValueError("permutations must act on the same squares")
+        if not sorted(self.sigma_h) == sorted(self.sigma_v) == list(range(len(self.sigma_h))):
+            raise ValueError("sigma_h and sigma_v must be permutations of the same squares")
 
     def vertex_permutation(self) -> Perm:
         """Action on bottom-left corners: sigma_v o sigma_h o sigma_v^-1 o sigma_h^-1."""
@@ -216,9 +216,9 @@ def _supports(sh: bytes, g: int) -> Iterator[tuple[int, ...]]:
             yield support
 
 
-# The classes with one sigma_h: (sigma_h, its widths, the sigma_v), every
+# The classes of one coset: (sigma_h, its widths, the sigma_v), every
 # permutation as bytes.
-_Block = tuple[bytes, tuple[int, ...], list[bytes]]
+_Coset = tuple[bytes, tuple[int, ...], Collection[bytes]]
 
 
 def _bytes_inverse(p: bytes) -> bytes:
@@ -255,8 +255,8 @@ def _in_stratum(g: int, widths: tuple[int, ...], sv: bytes, c: bytes) -> None:
         )
 
 
-def _torus_classes(n_squares: int) -> list[_Block]:
-    """The n_squares one-row tori: sigma_h rotates the row, sigma_v shifts it by -t."""
+def _torus_classes(n_squares: int) -> Iterator[_Coset]:
+    """The n_squares one-row tori as one block: sigma_h rotates the row, sigma_v shifts by -t."""
     widths = (n_squares,)
     sh = bytes(from_cycle_type(widths))
     sh_inv = _bytes_inverse(sh)
@@ -264,7 +264,22 @@ def _torus_classes(n_squares: int) -> list[_Block]:
     shifts = [row[-t:] + row[:-t] for t in range(n_squares)]  # t = 0: row[-0:] is row
     for sv in shifts:
         _in_stratum(1, widths, sv, _commutator(sv, sh, sh_inv))
-    return [(sh, widths, shifts)]
+    yield sh, widths, shifts
+
+
+def _classes(g: int, n_squares: int) -> Iterable[_Coset]:
+    """The height-one classes with n_squares squares, one (sigma_h, widths, sigma_v) per coset.
+
+    The arguments are checked at the call; the classes are listed while
+    the result is iterated, each coset once every check on it has passed.
+    """
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    if n_squares < 1 or n_squares > MAX_SQUARES:
+        raise ValueError(f"need 1 <= N <= {MAX_SQUARES}")
+    if n_squares < 2 * g - 1:
+        return ()
+    return _torus_classes(n_squares) if g == 1 else _coset_classes(g, n_squares)
 
 
 def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]]:
@@ -275,8 +290,8 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     module docstring.  Returns (representative, |Aut|) with |Aut| the
     centralizer order of the pair, sorted by (sigma_h, sigma_v); every
     representative is the least of its Z(sigma_h)-conjugates.  The list is
-    built on each call from the cached records of `_enumerate_sts`, one
-    sigma_h per width type.
+    built on each call from the (sigma_h, sigma_v) byte pairs of `_classes`,
+    which sort as the tuples do; nothing is cached.
 
     g = 1: the classes are the N one-row tori of `_torus_classes`, each
     with |Aut| = N (the translations along the row).  Z(sigma_h) is the
@@ -299,34 +314,9 @@ def enumerate_sts(g: int, n_squares: int) -> list[tuple[SquareTiledSurface, int]
     permutation of the stratum: one (2g-1)-cycle, the identity at g = 1
     (AssertionError naming the class if a check fails).
     """
-    records = _enumerate_sts(g, n_squares)
-    sigma_h = {widths: from_cycle_type(widths) for widths in {widths for widths, _, _ in records}}
-    return [(SquareTiledSurface(sigma_h[widths], tuple(sv)), aut) for widths, sv, aut in records]
-
-
-@cache
-def _enumerate_sts(g: int, n_squares: int) -> tuple[tuple[tuple[int, ...], bytes, int], ...]:
-    """The classes of enumerate_sts as (widths, sigma_v as bytes, |Aut|) records.
-
-    A record's sigma_h is from_cycle_type(widths).  The records are sorted
-    by (sigma_h, sigma_v), which bytes compare as the tuples do, and cached
-    as a tuple that no caller can change.
-    """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    if n_squares < 1 or n_squares > MAX_SQUARES:
-        raise ValueError(f"need 1 <= N <= {MAX_SQUARES}")
-    if n_squares < 2 * g - 1:
-        return ()
-    if g == 1:
-        blocks, aut = _torus_classes(n_squares), n_squares
-    else:
-        blocks, aut = _coset_classes(g, n_squares), 1
-    return tuple(
-        (widths, sv, aut)
-        for _, widths, classes in sorted(blocks, key=lambda block: block[0])
-        for sv in sorted(classes)
-    )
+    pairs = sorted((sh, sv) for sh, _, classes in _classes(g, n_squares) for sv in classes)
+    aut = n_squares if g == 1 else 1
+    return [(SquareTiledSurface(tuple(sh), tuple(sv)), aut) for sh, sv in pairs]
 
 
 def _centralizer(sh: bytes) -> list[bytes]:
@@ -360,14 +350,15 @@ def _conjugates(p: bytes, tables: Sequence[bytes], inverses: Sequence[bytes]) ->
     return map(bytes.translate, map(bytes.translate, inverses, repeat(table)), tables)
 
 
-def _coset_classes(g: int, n_squares: int) -> list[_Block]:
-    """The classes at g >= 2, one block per sigma_h, unsorted.
+def _coset_classes(g: int, n_squares: int) -> Iterator[_Coset]:
+    """The classes at g >= 2, one coset at a time, unsorted.
 
-    Each sigma_h gets one coset per Z(sigma_h)-orbit of c.  c, pi_0,
-    sigma_v and Z(sigma_h) are bytes: p q is q translated by the table
-    p + _IDENTITY[N:], and every conjugate goes through `_conjugates`.
+    Each sigma_h gets one coset per Z(sigma_h)-orbit of c, yielded with
+    its set of classes once the stratum check of each class and the orbit
+    count have passed.  c, pi_0, sigma_v and Z(sigma_h) are bytes: p q is
+    q translated by the table p + _IDENTITY[N:], and every conjugate goes
+    through `_conjugates`.
     """
-    blocks = []
     table_tail = _IDENTITY[n_squares:]
     for ctype in partitions(n_squares):
         if len(ctype) > g:  # no height-one surface has more than g rows
@@ -377,7 +368,6 @@ def _coset_classes(g: int, n_squares: int) -> list[_Block]:
         centralizer = _centralizer(sh)
         tables = tuple(z + table_tail for z in centralizer)
         inverses = tuple(map(_bytes_inverse, centralizer))
-        classes = []
         for first, *rest in _supports(sh, g):
             # Kept supports lie in distinct Z(sigma_h)-orbits, so only the
             # conjugates of this support's cycles can come up again.
@@ -400,7 +390,6 @@ def _coset_classes(g: int, n_squares: int) -> list[_Block]:
                 }
                 for sv in leasts:
                     _in_stratum(g, ctype, sv, _commutator(sv, sh, sh_inv))
-                classes.extend(leasts)
                 # An automorphism fixes c = [sigma_v, sigma_h], so a class with
                 # |Aut| = a meets the coset in |Stab(c)|/a of its |Z(sigma_h)|
                 # members: the count below holds iff every class has |Aut| = 1.
@@ -411,21 +400,28 @@ def _coset_classes(g: int, n_squares: int) -> list[_Block]:
                         f"with |Stab(c)| = {stab_order} against {len(tables)} "
                         "transitive coset members"
                     )
-        blocks.append((sh, ctype, classes))
-    return blocks
+                yield sh, ctype, leasts
+
+
+@cache
+def _class_counts(g: int, n_squares: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The height-one classes with n_squares squares as (widths, count) pairs.
+
+    The widths of a class are the row lengths, the cycle type of sigma_h.
+    Only these counts are cached, never a class.
+    """
+    counts: Counter[tuple[int, ...]] = Counter()
+    for _, widths, classes in _classes(g, n_squares):
+        counts[widths] += len(classes)
+    return tuple(counts.items())
 
 
 def _width_counts(g: int, n_max: int) -> Counter[tuple[int, ...]]:
-    """The height-one classes with at most n_max squares, by sorted widths.
-
-    The widths of a height-one class are its row lengths, the cycle type
-    of sigma_h, kept in its record.
-    """
-    return Counter(
-        widths
-        for n_squares in range(1, n_max + 1)
-        for widths, _, _ in _enumerate_sts(g, n_squares)
-    )
+    """The height-one classes with at most n_max squares, by sorted widths."""
+    counts: Counter[tuple[int, ...]] = Counter()
+    for n_squares in range(1, n_max + 1):
+        counts.update(dict(_class_counts(g, n_squares)))
+    return counts
 
 
 def census(g: int, n_max: int) -> dict[tuple[int, int], tuple[int, Fraction]]:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,6 @@ from stratavol.sts import (
     verify_cylinder_formula,
     zero_profile,
 )
-from stratavol.sts import _enumerate_sts
 
 from centralizer import centralizer_elements
 
@@ -228,6 +228,13 @@ class TestSurfaceBasics:
         with pytest.raises(ValueError):
             SquareTiledSurface((0, 1), (0,))
 
+    @pytest.mark.parametrize("sigma_h, sigma_v", [((0, 0, 2), (1, 0, 2)), ((5,), (0,))])
+    def test_non_permutations_rejected(self, sigma_h, sigma_v):
+        # zero_profile of the first pair looped forever on the vertex map
+        # (1, 1, 2); that of the second raised IndexError
+        with pytest.raises(ValueError, match="permutations of the same squares"):
+            SquareTiledSurface(sigma_h, sigma_v)
+
 
 class TestCylinders:
     def test_single_row_torus(self):
@@ -270,9 +277,21 @@ class TestEnumeration:
         assert census(2, 4) == before
         assert enumerate_sts(2, 4) != []
 
-    def test_size_guard(self):
+    @pytest.mark.parametrize(
+        "call, g, n",
+        [
+            ("enumerate_sts", 1, 9),
+            ("enumerate_sts", 0, 3),
+            ("enumerate_sts", 2, 0),
+            ("enumerate_sts", 2, 9),
+            ("census", 0, 4),
+            ("census", 2, 9),
+        ],
+    )
+    def test_size_guard(self, call, g, n):
+        # the kernel is a generator, yet a bad argument is refused at the call
         with pytest.raises(ValueError):
-            enumerate_sts(1, 9)
+            getattr(sts, call)(g, n)
 
     def test_all_admissible(self):
         # the kernel tests no transitivity: a coset member is transitive
@@ -338,7 +357,7 @@ class TestEnumeration:
             return compose(conjugator(p, q), (1, 0) + tuple(range(2, len(p))))
 
         monkeypatch.setattr(sts, "conjugator", wrong_conjugator)
-        _enumerate_sts.cache_clear()
+        sts._class_counts.cache_clear()
         try:
             with pytest.raises(AssertionError, match="minimal stratum of genus 2"):
                 enumerate_sts(2, 5)
@@ -347,13 +366,13 @@ class TestEnumeration:
             assert out.getvalue() == ""
             assert capsys.readouterr().err.startswith("internal error: census class")
         finally:
-            _enumerate_sts.cache_clear()
+            sts._class_counts.cache_clear()
 
     def test_torus_stratum_check_exits_three(self, monkeypatch, capsys):
         # a reversed sigma_h is no longer the row rotation that the shift
         # sigma_v commutes with
         monkeypatch.setattr(sts, "from_cycle_type", lambda ctype: from_cycle_type(ctype)[::-1])
-        _enumerate_sts.cache_clear()
+        sts._class_counts.cache_clear()
         try:
             with pytest.raises(AssertionError, match="minimal stratum of genus 1"):
                 enumerate_sts(1, 4)
@@ -363,18 +382,14 @@ class TestEnumeration:
             err = capsys.readouterr().err
             assert err.startswith("internal error: ") and err.count("\n") == 1
         finally:
-            _enumerate_sts.cache_clear()
+            sts._class_counts.cache_clear()
 
     def test_stratum_error_names_the_class(self, monkeypatch):
         # the reversed sigma_h of the torus test: the error names the first
         # class that fails, on one line
         monkeypatch.setattr(sts, "from_cycle_type", lambda ctype: from_cycle_type(ctype)[::-1])
-        _enumerate_sts.cache_clear()
-        try:
-            with pytest.raises(AssertionError) as error:
-                enumerate_sts(1, 4)
-        finally:
-            _enumerate_sts.cache_clear()
+        with pytest.raises(AssertionError) as error:
+            enumerate_sts(1, 4)
         sh, sv = from_cycle_type((4,))[::-1], (3, 0, 1, 2)
         c = SquareTiledSurface(sh, sv).vertex_permutation()
         assert str(error.value) == (
@@ -383,29 +398,25 @@ class TestEnumeration:
         )
 
     def test_census_builds_no_surface(self, monkeypatch):
-        # the census reads the cached records, never a SquareTiledSurface
+        # the census counts the classes of the kernel, never a SquareTiledSurface
         def refuse(*args):
             raise AssertionError("SquareTiledSurface built")
 
         monkeypatch.setattr(sts, "SquareTiledSurface", refuse)
-        _enumerate_sts.cache_clear()
+        sts._class_counts.cache_clear()
         try:
             assert hashlib.sha256(repr(census(3, 8)).encode()).hexdigest() == (
                 CENSUS_TABLE_DIGESTS_AT_8[3]
             )
         finally:
-            _enumerate_sts.cache_clear()
+            sts._class_counts.cache_clear()
 
     def test_orbit_count_check(self, monkeypatch):
         # a scan that never finds a smaller conjugate keeps every transitive
         # coset member, so the classes overcount the Z(sigma_h)-orbits
         monkeypatch.setattr(sts, "_conjugates", lambda p, tables, inverses: [p] * len(tables))
-        _enumerate_sts.cache_clear()
-        try:
-            with pytest.raises(AssertionError, match="transitive coset members"):
-                enumerate_sts(2, 5)
-        finally:
-            _enumerate_sts.cache_clear()
+        with pytest.raises(AssertionError, match="transitive coset members"):
+            enumerate_sts(2, 5)
 
 
 class TestSupports:
@@ -631,10 +642,24 @@ class TestCylinderFormula:
         # the height-one classes per width multiset, beyond the CLI's cap,
         # each of them transitive
         monkeypatch.setattr(sts, "MAX_SQUARES", n_max)
-        _enumerate_sts.cache_clear()
+        sts._class_counts.cache_clear()
         try:
             assert sts._width_counts(g, n_max) == sts._width_weights(g, n_max)
             for n_squares in range(1, n_max + 1):
                 assert all(is_connected(surface) for surface, _ in enumerate_sts(g, n_squares))
         finally:
-            _enumerate_sts.cache_clear()
+            sts._class_counts.cache_clear()
+
+    def test_census_keeps_no_class(self, monkeypatch):
+        # past the cap the census lists 11,538 height-one classes; only the
+        # counts per width multiset stay allocated after it
+        monkeypatch.setattr(sts, "MAX_SQUARES", 10)
+        sts._class_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            census(3, 10)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            sts._class_counts.cache_clear()
+        assert kept < 0.5 * 2**20
